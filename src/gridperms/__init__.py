@@ -47,7 +47,7 @@ from .gridding import (
 from .matrices import Cell, GridMatrix
 from .perms import Permutation, containment_witness, contains, pattern_of, window
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "Cell",

@@ -46,13 +46,9 @@ def _format_signs(signs: SignAssignment) -> str:
 
 def _resolve_signs(matrix: GridMatrix, args: argparse.Namespace) -> SignAssignment:
     """Signs from the override flags, falling back to find_signs per side."""
-    if args.col_signs is None or args.row_signs is None:
-        found = find_signs(matrix)
-        col_signs = found.col_signs if args.col_signs is None else _parse_signs(args.col_signs)
-        row_signs = found.row_signs if args.row_signs is None else _parse_signs(args.row_signs)
-    else:
-        col_signs = _parse_signs(args.col_signs)
-        row_signs = _parse_signs(args.row_signs)
+    found = find_signs(matrix) if None in (args.col_signs, args.row_signs) else None
+    col_signs = found.col_signs if args.col_signs is None else _parse_signs(args.col_signs)
+    row_signs = found.row_signs if args.row_signs is None else _parse_signs(args.row_signs)
     return SignAssignment(col_signs, row_signs)
 
 
@@ -62,14 +58,7 @@ def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
 
 def cmd_signs(args: argparse.Namespace) -> int:
     matrix = _load_matrix(args.matrix_file)
-    try:
-        signs = find_signs(matrix)
-    except NotPartialMultiplicationError as exc:
-        cycle = " ".join(f"{side}{i}" for side, i in exc.cycle)
-        _emit(args, f"NOT-PARTIAL-MULTIPLICATION\ncycle: {cycle}",
-              {"error": "NOT-PARTIAL-MULTIPLICATION",
-               "cycle": [f"{side}{i}" for side, i in exc.cycle]})
-        return 1
+    signs = find_signs(matrix)
     _emit(args, _format_signs(signs),
           {"col_signs": list(signs.col_signs), "row_signs": list(signs.row_signs)})
     return 0
@@ -99,11 +88,7 @@ def cmd_grid_check(args: argparse.Namespace) -> int:
 def cmd_encode(args: argparse.Namespace) -> int:
     matrix = _load_matrix(args.matrix_file)
     word = parse_word(" ".join(args.word))
-    try:
-        signs = _resolve_signs(matrix, args)
-    except NotPartialMultiplicationError:
-        _emit(args, "NOT-PARTIAL-MULTIPLICATION", {"error": "NOT-PARTIAL-MULTIPLICATION"})
-        return 1
+    signs = _resolve_signs(matrix, args)
     gp = encode(matrix, signs, word)
     _emit(args, f"{gp.perm} {gp.gridding.format()}",
           {"perm": str(gp.perm), "cols": list(gp.gridding.cols),
@@ -115,17 +100,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
     matrix = _load_matrix(args.matrix_file)
     pi = Permutation.parse(args.perm)
     gridding = Gridding.parse(" ".join(args.gridding))
-    try:
-        signs = _resolve_signs(matrix, args)
-    except NotPartialMultiplicationError:
-        _emit(args, "NOT-PARTIAL-MULTIPLICATION", {"error": "NOT-PARTIAL-MULTIPLICATION"})
-        return 1
-    gp = GriddedPermutation(pi, matrix, gridding)
-    try:
-        word = decode(gp, signs)
-    except InconsistentOrdersError:
-        _emit(args, "INCONSISTENT-ORDERS", {"error": "INCONSISTENT-ORDERS"})
-        return 1
+    signs = _resolve_signs(matrix, args)
+    word = decode(GriddedPermutation(pi, matrix, gridding), signs)
     _emit(args, format_word(word), {"word": format_word(word)})
     return 0
 
@@ -230,6 +206,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _make_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except NotPartialMultiplicationError as exc:
+        cycle = [f"{side}{i}" for side, i in exc.cycle]
+        _emit(args, "NOT-PARTIAL-MULTIPLICATION\ncycle: " + " ".join(cycle),
+              {"error": "NOT-PARTIAL-MULTIPLICATION", "cycle": cycle})
+        return 1
+    except InconsistentOrdersError:
+        _emit(args, "INCONSISTENT-ORDERS", {"error": "INCONSISTENT-ORDERS"})
+        return 1
     except (ValueError, LimitExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

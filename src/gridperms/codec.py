@@ -170,8 +170,6 @@ def decode(gp: GriddedPermutation, signs: SignAssignment) -> Word:
     cover_pairs = set()
     for order in orders.values():
         for a, b in zip(order, order[1:]):
-            # A valid sign assignment rules out opposed pairs outright.
-            assert (b, a) not in cover_pairs, f"contradictory pair {a}, {b}"
             if (a, b) not in cover_pairs:
                 cover_pairs.add((a, b))
                 successors[a].append(b)

@@ -12,7 +12,7 @@ from itertools import permutations, product
 
 from .codec import alphabet, encode
 from .graphs import SignAssignment
-from .gridding import GriddedPermutation, in_grid_class
+from .gridding import in_grid_class
 from .matrices import GridMatrix
 from .perms import Permutation
 
@@ -21,21 +21,23 @@ WORD_BUDGET = 10**7
 
 
 class LimitExceededError(Exception):
-    """The requested sweep is larger than the configured cap."""
+    """The requested sweep is larger than its module constant allows."""
 
 
-def enumerate_class(
-    matrix: GridMatrix, n: int, cap: int = FACTORIAL_CAP
-) -> set[Permutation]:
+def _require_factorial_cap(n: int) -> None:
+    if n > FACTORIAL_CAP:
+        raise LimitExceededError(f"n = {n} exceeds the factorial cap {FACTORIAL_CAP}")
+
+
+def enumerate_class(matrix: GridMatrix, n: int) -> set[Permutation]:
     """All length-n members of the matrix's grid class.
 
     Filters the n! permutations of length n through the gridding search,
-    so this is exhaustive but only viable for small n (default cap 9).
+    so this is exhaustive but only viable for n up to FACTORIAL_CAP.
     """
     if n < 0:
         raise ValueError(f"length must be nonnegative: {n}")
-    if n > cap:
-        raise LimitExceededError(f"n = {n} exceeds the factorial cap {cap}")
+    _require_factorial_cap(n)
     return {
         pi
         for entries in permutations(range(1, n + 1))
@@ -44,34 +46,26 @@ def enumerate_class(
 
 
 def enumerate_via_words(
-    matrix: GridMatrix,
-    signs: SignAssignment,
-    n: int,
-    budget: int = WORD_BUDGET,
-    gridded: bool = False,
-) -> set[Permutation] | set[GriddedPermutation]:
+    matrix: GridMatrix, signs: SignAssignment, n: int
+) -> set[Permutation]:
     """Images of all length-n words under the encoder.
 
-    Returns plain permutations deduplicated (distinct words may encode the
-    same permutation); pass gridded=True to keep the griddings instead.
-    The sweep has |alphabet| ** n words and refuses to exceed ``budget``.
+    Distinct words may encode the same permutation; the result is the set
+    of distinct images.  The sweep has |alphabet| ** n words and refuses to
+    exceed WORD_BUDGET.
     """
     if n < 0:
         raise ValueError(f"length must be nonnegative: {n}")
     letters = sorted(alphabet(matrix))
-    if len(letters) ** n > budget:
+    if len(letters) ** n > WORD_BUDGET:
         raise LimitExceededError(
-            f"{len(letters)} ** {n} words exceed the budget {budget}"
+            f"{len(letters)} ** {n} words exceed the budget {WORD_BUDGET}"
         )
-    images = (encode(matrix, signs, word) for word in product(letters, repeat=n))
-    if gridded:
-        return set(images)
-    return {gp.perm for gp in images}
+    return {encode(matrix, signs, word).perm for word in product(letters, repeat=n)}
 
 
-def counting_sequence(
-    matrix: GridMatrix, n_max: int, cap: int = FACTORIAL_CAP
-) -> tuple[int, ...]:
+def counting_sequence(matrix: GridMatrix, n_max: int) -> tuple[int, ...]:
     """Class sizes at lengths 1..n_max, e.g. (1, 2, 5) for a 1x2 all-ones
-    matrix."""
-    return tuple(len(enumerate_class(matrix, n, cap)) for n in range(1, n_max + 1))
+    matrix.  An n_max over FACTORIAL_CAP is refused before any work."""
+    _require_factorial_cap(n_max)
+    return tuple(len(enumerate_class(matrix, n)) for n in range(1, n_max + 1))

@@ -126,16 +126,38 @@ def check_gridding(pi: Permutation, matrix: GridMatrix, g: Gridding) -> bool:
     gridding that violates a cell condition just returns False.
     """
     _require_shape(pi, matrix, g)
+    return _cells_valid(pi.entries, matrix.columns, _bands(g.cols), g.rows)
+
+
+def _bands(divisions: tuple[int, ...]) -> list[int]:
+    """The 0-based band of each position 1..n under the divisions."""
+    bands: list[int] = []
+    for band, (start, stop) in enumerate(zip(divisions, divisions[1:])):
+        bands += [band] * (stop - start)
+    return bands
+
+
+def _cells_valid(
+    entries: tuple[int, ...],
+    columns: tuple[tuple[int, ...], ...],
+    col_of: list[int],
+    rows: tuple[int, ...],
+) -> bool:
+    """The cell condition for every point, given the 0-based column of each
+    index and the row divisions; ``columns`` is ``GridMatrix.columns``."""
+    u = len(columns[0])
     # One ascending-index pass: within a cell, indices arrive in order, so
     # comparing against the previous value seen there settles monotonicity.
-    last_seen: dict[Cell, int] = {}
-    for index, value in enumerate(pi, start=1):
-        cell = g.cell_of(index, value)
-        entry = matrix.entry(*cell)
+    # Values are at least 1, so 0 marks a cell with nothing seen yet.
+    last_seen = [0] * (len(columns) * u)
+    for k, value in zip(col_of, entries):
+        l = bisect_right(rows, value) - 1
+        entry = columns[k][l]
         if entry == 0:
             return False
-        previous = last_seen.get(cell)
-        if previous is not None and (value > previous) != (entry == 1):
+        cell = k * u + l
+        previous = last_seen[cell]
+        if previous and (value > previous) != (entry == 1):
             return False
         last_seen[cell] = value
     return True
@@ -157,19 +179,9 @@ def find_gridding(pi: Permutation, matrix: GridMatrix) -> Gridding | None:
     """
     n = len(pi)
     for cols in _division_sequences(n, matrix.t):
-        col_band = [bisect_right(cols, index) for index in range(1, n + 1)]
+        col_of = _bands(cols)
         for rows in _division_sequences(n, matrix.u):
-            last_seen: dict[Cell, int] = {}
-            for index, value in enumerate(pi, start=1):
-                cell = (col_band[index - 1], bisect_right(rows, value))
-                entry = matrix.entry(*cell)
-                if entry == 0:
-                    break
-                previous = last_seen.get(cell)
-                if previous is not None and (value > previous) != (entry == 1):
-                    break
-                last_seen[cell] = value
-            else:
+            if _cells_valid(pi.entries, matrix.columns, col_of, rows):
                 return Gridding(cols, rows)
     return None
 

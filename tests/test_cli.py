@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gridperms
 from gridperms.cli import main
 
 from .conftest import DEMO_MATRIX_TEXT
@@ -132,6 +137,37 @@ def test_decode_inconsistent_orders(capsys, tmp_path):
     path = write_matrix(tmp_path, "+ +\n+ +")
     code, out = run(capsys, "decode", path, "4123", "cols=1,3,5", "rows=1,3,5")
     assert (code, out) == (1, "INCONSISTENT-ORDERS")
+
+
+def test_decode_inconsistent_orders_without_asserts(tmp_path):
+    path = write_matrix(tmp_path, "+ +\n+ +")
+    src = Path(gridperms.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "gridperms.cli", "decode", path, "4123",
+         "cols=1,3,5", "rows=1,3,5"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (proc.returncode, proc.stdout) == (1, "INCONSISTENT-ORDERS\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "{path}", "1,1"],
+    ["decode", "{path}", "1", "cols=1,2,2", "rows=1,2,2"],
+])
+def test_codec_reports_negative_cycle(capsys, tmp_path, argv):
+    path = write_matrix(tmp_path, "+ +\n+ -")
+    argv = [arg.format(path=path) for arg in argv]
+    code, out = run(capsys, *argv)
+    assert code == 1
+    label, cycle = out.splitlines()
+    assert label == "NOT-PARTIAL-MULTIPLICATION"
+    code, out = run(capsys, "--json", *argv)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "NOT-PARTIAL-MULTIPLICATION"
+    assert len(payload["cycle"]) == 4
+    assert cycle == "cycle: " + " ".join(payload["cycle"])
 
 
 def test_enum_members(capsys, demo_file):

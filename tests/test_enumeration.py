@@ -11,6 +11,7 @@ from gridperms import (
     find_signs,
     pattern_of,
 )
+from gridperms.enumeration import FACTORIAL_CAP
 
 ONE_ROW = GridMatrix.parse("+ +")
 
@@ -44,16 +45,27 @@ def test_all_zero_matrix_class_is_empty_past_zero():
 def test_factorial_cap():
     with pytest.raises(LimitExceededError):
         enumerate_class(GridMatrix.parse("+"), 10)
-    with pytest.raises(LimitExceededError):
-        enumerate_class(GridMatrix.parse("+"), 4, cap=3)
     with pytest.raises(ValueError):
         enumerate_class(GridMatrix.parse("+"), -1)
 
 
-def test_word_sweep_budget(demo_matrix, demo_signs):
+def test_counting_sequence_refuses_before_any_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        "gridperms.enumeration.enumerate_class", lambda *args: calls.append(args)
+    )
     with pytest.raises(LimitExceededError):
-        enumerate_via_words(demo_matrix, demo_signs, 3, budget=63)
-    enumerate_via_words(demo_matrix, demo_signs, 3, budget=64)
+        counting_sequence(GridMatrix.parse("+"), FACTORIAL_CAP + 1)
+    assert calls == []
+
+
+def test_word_sweep_budget(monkeypatch, demo_matrix, demo_signs):
+    # four letters, so 4 ** 3 = 64 words
+    monkeypatch.setattr("gridperms.enumeration.WORD_BUDGET", 63)
+    with pytest.raises(LimitExceededError):
+        enumerate_via_words(demo_matrix, demo_signs, 3)
+    monkeypatch.setattr("gridperms.enumeration.WORD_BUDGET", 64)
+    enumerate_via_words(demo_matrix, demo_signs, 3)
 
 
 def test_word_images_length_one(demo_matrix, demo_signs):
@@ -63,14 +75,6 @@ def test_word_images_length_one(demo_matrix, demo_signs):
 
 def test_word_images_cover_showcase_member(demo_matrix, demo_signs, demo_perm):
     assert demo_perm in enumerate_via_words(demo_matrix, demo_signs, 9)
-
-
-def test_gridded_variant_projects_to_plain(demo_matrix, demo_signs):
-    gridded = enumerate_via_words(demo_matrix, demo_signs, 3, gridded=True)
-    plain = enumerate_via_words(demo_matrix, demo_signs, 3)
-    assert {gp.perm for gp in gridded} == plain
-    # distinct griddings of one permutation are kept apart
-    assert len(gridded) >= len(plain)
 
 
 def test_word_images_within_class_for_non_forest():

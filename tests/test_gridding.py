@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridperms import (
     GriddedPermutation,
@@ -154,6 +155,28 @@ def test_find_gridding_matches_brute_force(pi, m):
     else:
         assert (found.cols, found.rows) == expected[0]
         assert check_gridding(pi, m, found)
+
+
+@st.composite
+def division_pairs(draw, n, t, u, valid):
+    """A well-formed (cols, rows) pair; half the time one of ``valid``."""
+    if valid and draw(st.booleans()):
+        return draw(st.sampled_from(valid))
+
+    def divisions(parts):
+        middle = draw(st.lists(st.integers(1, n + 1), min_size=parts - 1,
+                               max_size=parts - 1))
+        return (1, *sorted(middle), n + 1)
+
+    return divisions(t), divisions(u)
+
+
+@given(permutations(max_n=5), matrices(max_t=3, max_u=3), st.data())
+@settings(max_examples=300, deadline=None)
+def test_check_gridding_matches_brute_force(pi, m, data):
+    valid = brute_griddings(pi.entries, m)
+    cols, rows = data.draw(division_pairs(len(pi), m.t, m.u, valid))
+    assert check_gridding(pi, m, Gridding(cols, rows)) == ((cols, rows) in valid)
 
 
 @given(permutations(max_n=5, min_n=1), matrices(max_t=2, max_u=2))
