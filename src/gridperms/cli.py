@@ -4,7 +4,10 @@ Subcommands wrap one library operation each and print its result in the
 same serialization the flags accept, so outputs can be piped back in.
 Exit codes: 0 success, 1 negative domain answer (NOT-A-MEMBER,
 NOT-PARTIAL-MULTIPLICATION, INCONSISTENT-ORDERS, INVALID), 2 usage or
-parse errors.
+parse errors.  Under ``--json`` an exit-2 error prints one object on stdout,
+``{"error": "LIMIT-EXCEEDED", "message": ...}`` for an oversized sweep and
+``{"error": "BAD-INPUT", "message": ...}`` for an unreadable or malformed
+input; argparse's own usage errors stay plain text on stderr.
 """
 from __future__ import annotations
 
@@ -215,7 +218,11 @@ def main(argv: list[str] | None = None) -> int:
         _emit(args, "INCONSISTENT-ORDERS", {"error": "INCONSISTENT-ORDERS"})
         return 1
     except (ValueError, LimitExceededError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if args.json:
+            label = "LIMIT-EXCEEDED" if isinstance(exc, LimitExceededError) else "BAD-INPUT"
+            _emit(args, "", {"error": label, "message": str(exc)})
+        else:
+            print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -152,10 +152,12 @@ def decode(gp: GriddedPermutation, signs: SignAssignment) -> Word:
 
     Merges the row and column orders into one linear order on the entries
     and reads off each entry's cell.  Only cover pairs (consecutive entries
-    of one order) are recorded; ties are broken toward the entry with the
-    least index, so the output is deterministic.  Distinct valid words can
-    exist (letters of independent cells commute), so round trips are stable
-    at the gridded-permutation level, not the word level.
+    of one order) are recorded; a pair consecutive in both its column and its
+    row order is counted and released twice, by the same pop.  Ties are
+    broken toward the entry with the least index, so the output is
+    deterministic.  Distinct valid words can exist (letters of independent
+    cells commute), so round trips are stable at the gridded-permutation
+    level, not the word level.
 
     Raises InconsistentOrdersError when the orders conflict, which can only
     happen if the matrix's row-column graph has a cycle.
@@ -167,13 +169,10 @@ def decode(gp: GriddedPermutation, signs: SignAssignment) -> Word:
 
     successors: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
     predecessors = {v: 0 for v in range(1, n + 1)}
-    cover_pairs = set()
     for order in orders.values():
         for a, b in zip(order, order[1:]):
-            if (a, b) not in cover_pairs:
-                cover_pairs.add((a, b))
-                successors[a].append(b)
-                predecessors[b] += 1
+            successors[a].append(b)
+            predecessors[b] += 1
 
     ready = [index_of[v] for v in predecessors if predecessors[v] == 0]
     ready.sort()

@@ -71,9 +71,9 @@ class SignAssignment:
         if len(self.col_signs) != matrix.t or len(self.row_signs) != matrix.u:
             return False
         return all(
-            matrix.entry(k, l) in (0, self.col_signs[k - 1] * self.row_signs[l - 1])
-            for k in range(1, matrix.t + 1)
-            for l in range(1, matrix.u + 1)
+            e in (0, c * r)
+            for c, column in zip(self.col_signs, matrix.columns)
+            for r, e in zip(self.row_signs, column)
         )
 
 

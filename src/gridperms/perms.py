@@ -100,7 +100,8 @@ def containment_witness(
     ``pattern_of([pi(i) for i in I]) == sigma``.  The search backtracks over
     candidate indices in ascending order, pruning any candidate whose value
     breaks an order relation with an already-chosen entry, so the first
-    complete assignment found is the lexicographically least witness.
+    complete assignment found is the lexicographically least witness.  The
+    chosen indices are the stack, so no pattern length hits a recursion limit.
     """
     n, k = len(pi), len(sigma)
     if k == 0:
@@ -110,22 +111,20 @@ def containment_witness(
     p = pi.entries
     s = sigma.entries
     chosen: list[int] = []
-
-    def extend(start: int) -> bool:
+    i = 1
+    while len(chosen) < k:
         m = len(chosen)
-        if m == k:
-            return True
         # leave room for the k - m - 1 indices still to come
-        for i in range(start, n - (k - m) + 2):
+        if i <= n - k + m + 1:
             v = p[i - 1]
             if all((v > p[j - 1]) == (s[m] > s[q]) for q, j in enumerate(chosen)):
                 chosen.append(i)
-                if extend(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return tuple(chosen) if extend(1) else None
+            i += 1
+        elif chosen:
+            i = chosen.pop() + 1
+        else:
+            return None
+    return tuple(chosen)
 
 
 def contains(pi: Permutation, sigma: Permutation) -> bool:

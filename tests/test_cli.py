@@ -231,6 +231,18 @@ def test_usage_errors_exit_two(capsys, tmp_path, demo_file):
     assert main(["grid-check", demo_file, "136854792", "cols=1,3", "rows=1,10"]) == 2
     capsys.readouterr()
 
+    code, out = run(capsys, "--json", "enum", str(tmp_path / "missing.txt"), "3")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "BAD-INPUT"
+    assert "missing.txt" in payload["message"]
+
+    code, out = run(capsys, "--json", "enum", demo_file, "12")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "LIMIT-EXCEEDED"
+    assert payload["message"]
+
 
 def test_encode_rejects_letters_outside_alphabet(capsys, demo_file):
     assert main(["encode", demo_file, "1,2"]) == 2

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 
@@ -123,6 +125,16 @@ def test_sign_assignment_verify(demo_matrix, demo_signs):
     assert demo_signs.verify(demo_matrix)
     assert not SignAssignment((1, 1, 1), (1, 1)).verify(demo_matrix)
     assert not demo_signs.verify(GridMatrix.parse("+"))  # wrong shape
+
+
+@given(matrices(max_t=3, max_u=3))
+@settings(max_examples=200)
+def test_verify_agrees_with_exhaustion(m):
+    valid = brute_sign_assignments(m)
+    for col_signs in product((1, -1), repeat=m.t):
+        for row_signs in product((1, -1), repeat=m.u):
+            verdict = SignAssignment(col_signs, row_signs).verify(m)
+            assert verdict == ((col_signs, row_signs) in valid)
 
 
 def test_find_signs_demo_matrix(demo_matrix, demo_signs):

@@ -1,3 +1,4 @@
+import doctest
 from pathlib import Path
 
 import pytest
@@ -15,3 +16,14 @@ def test_version_has_one_source():
         "attr": "gridperms.__version__"
     }
     assert gridperms.__version__ == "0.1.0"
+
+
+def test_readme_tour_and_module_doctests():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    results = [
+        doctest.testfile(str(readme), module_relative=False),
+        doctest.testmod(gridperms.perms),
+        doctest.testmod(gridperms.codec),
+    ]
+    assert [r.failed for r in results] == [0, 0, 0]
+    assert all(r.attempted for r in results)

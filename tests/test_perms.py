@@ -107,6 +107,12 @@ def test_increasing_has_no_decreasing_pattern():
     assert containment_witness(Permutation.parse("123"), Permutation.parse("321")) is None
 
 
+def test_deep_pattern_does_not_recurse():
+    pi = Permutation(tuple(range(1, 1201)))
+    sigma = Permutation(tuple(range(1, 1101)))
+    assert containment_witness(pi, sigma) == tuple(range(1, 1101))
+
+
 def test_empty_pattern_always_contained():
     assert containment_witness(Permutation.parse("231"), Permutation(())) == ()
 
