@@ -1,16 +1,21 @@
 """Exhaustive desk-scale sweeps of grid classes.
 
-Two independent pipelines generate class members: filtering all n!
-permutations through the gridding search, and encoding all length-n words
-over the cell alphabet.  For matrices whose row-column graph is a forest
-the two agree; comparing them is the main cross-check this module exists
-for.  Both refuse to start when the search space exceeds a cap.
+Two independent pipelines generate class members.  ``enumerate_class``
+walks the insertion tree: grid classes are closed under deletion, so every
+length-n member is a length-(n-1) member with the value n inserted, and
+only those one-point extensions go through the gridding search.
+``enumerate_via_words`` encodes the lexicographic normal forms of traces:
+letters whose cells share neither a column nor a row commute without
+changing the encoded gridded permutation, so one word per commutation
+class suffices.  For matrices whose row-column graph is a forest the two
+agree; comparing them is the main cross-check this module exists for.
+Both refuse to start when their worst-case search space exceeds a cap.
 """
 from __future__ import annotations
 
-from itertools import permutations, product
+from collections.abc import Iterator
 
-from .codec import alphabet, encode
+from .codec import Letter, Word, alphabet, encode
 from .graphs import SignAssignment
 from .gridding import in_grid_class
 from .matrices import GridMatrix
@@ -29,30 +34,67 @@ def _require_factorial_cap(n: int) -> None:
         raise LimitExceededError(f"n = {n} exceeds the factorial cap {FACTORIAL_CAP}")
 
 
+def _class_levels(matrix: GridMatrix, n_max: int) -> Iterator[list[Permutation]]:
+    """The members of lengths 0, 1, ..., n_max, one list per length.
+
+    Level n inserts the value n at every position of every level-(n-1)
+    member and keeps the candidates in the class.  Deleting n from a
+    candidate recovers its parent and position, so no candidate repeats.
+    """
+    level = [Permutation(())]
+    yield level
+    for n in range(1, n_max + 1):
+        children = []
+        for parent in level:
+            entries = parent.entries
+            for j in range(n):
+                child = Permutation(entries[:j] + (n,) + entries[j:])
+                if in_grid_class(child, matrix):
+                    children.append(child)
+        level = children
+        yield level
+
+
 def enumerate_class(matrix: GridMatrix, n: int) -> set[Permutation]:
     """All length-n members of the matrix's grid class.
 
-    Filters the n! permutations of length n through the gridding search,
-    so this is exhaustive but only viable for n up to FACTORIAL_CAP.
+    Grows the class length by length through one-point insertions, so the
+    gridding search sees at most n times the previous level.  Lengths over
+    FACTORIAL_CAP are refused.
     """
     if n < 0:
         raise ValueError(f"length must be nonnegative: {n}")
     _require_factorial_cap(n)
-    return {
-        pi
-        for entries in permutations(range(1, n + 1))
-        if in_grid_class(pi := Permutation(entries), matrix)
-    }
+    *_, members = _class_levels(matrix, n)
+    return set(members)
+
+
+def _extends_normal_form(word: Word, letter: Letter) -> bool:
+    """Whether appending the letter to a lexicographic trace normal form
+    gives another one.
+
+    The letter could move left past every trailing letter it commutes with
+    (shares neither column nor row with); the word is a normal form only if
+    none of those is greater than it (Anisimov-Knuth).
+    """
+    k, l = letter
+    for other in reversed(word):
+        if other[0] == k or other[1] == l:
+            return True
+        if other > letter:
+            return False
+    return True
 
 
 def enumerate_via_words(
     matrix: GridMatrix, signs: SignAssignment, n: int
 ) -> set[Permutation]:
-    """Images of all length-n words under the encoder.
+    """Images under the encoder of all length-n words.
 
-    Distinct words may encode the same permutation; the result is the set
-    of distinct images.  The sweep has |alphabet| ** n words and refuses to
-    exceed WORD_BUDGET.
+    Words equal up to commuting letters encode the same gridded
+    permutation, so only the lexicographic trace normal forms are encoded;
+    the image set is that of all |alphabet| ** n words.  Requests with more
+    than WORD_BUDGET words are refused.
     """
     if n < 0:
         raise ValueError(f"length must be nonnegative: {n}")
@@ -61,11 +103,24 @@ def enumerate_via_words(
         raise LimitExceededError(
             f"{len(letters)} ** {n} words exceed the budget {WORD_BUDGET}"
         )
-    return {encode(matrix, signs, word).perm for word in product(letters, repeat=n)}
+    images = set()
+    # Depth-first over normal forms with an explicit stack, so long words
+    # cannot exhaust the interpreter's recursion limit.
+    stack: list[Word] = [()]
+    while stack:
+        word = stack.pop()
+        if len(word) == n:
+            images.add(encode(matrix, signs, word).perm)
+            continue
+        for letter in letters:
+            if _extends_normal_form(word, letter):
+                stack.append(word + (letter,))
+    return images
 
 
 def counting_sequence(matrix: GridMatrix, n_max: int) -> tuple[int, ...]:
     """Class sizes at lengths 1..n_max, e.g. (1, 2, 5) for a 1x2 all-ones
-    matrix.  An n_max over FACTORIAL_CAP is refused before any work."""
+    matrix.  One walk of the insertion tree gives every length.  An n_max
+    over FACTORIAL_CAP is refused before any work."""
     _require_factorial_cap(n_max)
-    return tuple(len(enumerate_class(matrix, n)) for n in range(1, n_max + 1))
+    return tuple(len(level) for level in _class_levels(matrix, n_max))[1:]

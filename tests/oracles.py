@@ -2,9 +2,15 @@
 
 Each function recomputes an answer by the most direct search available so
 the library's single-pass or propagation-based routes have something to
-disagree with.  Everything here is exponential; keep inputs small.
+disagree with.  The two sweep references at the end are the exception:
+they run the library's gridding search and encoder over every permutation
+or every word, so the pruned sweeps in ``gridperms.enumeration`` have an
+exhaustive route to match.  Everything here is exponential; keep inputs
+small.
 """
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
+
+from gridperms import Permutation, alphabet, encode, in_grid_class
 
 
 def brute_contains(pi, sigma) -> bool:
@@ -124,3 +130,18 @@ def simple_cycles_with_signs(matrix):
 
 def has_negative_simple_cycle(matrix) -> bool:
     return any(sign == -1 for _, sign in simple_cycles_with_signs(matrix))
+
+
+def filter_class(matrix, n):
+    """Length-n class members, by testing all n! permutations."""
+    return {
+        pi
+        for entries in permutations(range(1, n + 1))
+        if in_grid_class(pi := Permutation(entries), matrix)
+    }
+
+
+def word_images(matrix, signs, n):
+    """Permutations encoded by all |alphabet| ** n words of length n."""
+    letters = sorted(alphabet(matrix))
+    return {encode(matrix, signs, word).perm for word in product(letters, repeat=n)}

@@ -33,7 +33,12 @@ from gridperms import (
 )
 
 from .conftest import DEMO_MATRIX_TEXT, DEMO_WORD_TEXT
-from .oracles import brute_sign_assignments, has_negative_simple_cycle, is_witness
+from .oracles import (
+    brute_sign_assignments,
+    filter_class,
+    has_negative_simple_cycle,
+    is_witness,
+)
 
 DEMO = GridMatrix.parse(DEMO_MATRIX_TEXT)
 FOREST_TRIO = [DEMO, GridMatrix.parse("+ +"), GridMatrix.parse("+ .\n+ -")]
@@ -146,10 +151,14 @@ def test_5_word_images_equal_class(capsys):
     for m in FOREST_TRIO:
         signs = find_signs(m)
         for n in range(8):
-            if enumerate_via_words(m, signs, n) != enumerate_class(m, n):
+            reference = filter_class(m, n)
+            if enumerate_via_words(m, signs, n) != reference:
+                ok = False
+            if enumerate_class(m, n) != reference:
                 ok = False
 
-    report(capsys, 5, "word images equal the class, three matrices, n <= 7",
+    report(capsys, 5, "word images and insertion tree equal the n! filter, "
+           "three matrices, n <= 7",
            ok, time.perf_counter() - start, 300.0)
 
 

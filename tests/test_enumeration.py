@@ -1,3 +1,6 @@
+import gc
+from itertools import product
+
 import pytest
 
 from gridperms import (
@@ -5,13 +8,18 @@ from gridperms import (
     LimitExceededError,
     Permutation,
     SignAssignment,
+    alphabet,
     counting_sequence,
+    encode,
     enumerate_class,
     enumerate_via_words,
     find_signs,
     pattern_of,
 )
 from gridperms.enumeration import FACTORIAL_CAP
+
+from .conftest import DEMO_MATRIX_TEXT
+from .oracles import filter_class, word_images
 
 ONE_ROW = GridMatrix.parse("+ +")
 
@@ -52,7 +60,7 @@ def test_factorial_cap():
 def test_counting_sequence_refuses_before_any_work(monkeypatch):
     calls = []
     monkeypatch.setattr(
-        "gridperms.enumeration.enumerate_class", lambda *args: calls.append(args)
+        "gridperms.enumeration.in_grid_class", lambda *args: calls.append(args)
     )
     with pytest.raises(LimitExceededError):
         counting_sequence(GridMatrix.parse("+"), FACTORIAL_CAP + 1)
@@ -113,3 +121,75 @@ def test_members_shrink_into_the_class(demo_matrix):
                 pattern_of(pi.entries[:j] + pi.entries[j + 1 :]) for j in range(n)
             }
             assert deletions <= smaller
+
+
+def test_class_matches_factorial_filter_on_all_2x2():
+    for entries in product((0, 1, -1), repeat=4):
+        m = GridMatrix((entries[:2], entries[2:]))
+        for n in range(6):
+            assert enumerate_class(m, n) == filter_class(m, n), (m, n)
+
+
+@pytest.mark.parametrize("text", [DEMO_MATRIX_TEXT, "+ .\n+ -"])
+def test_class_matches_factorial_filter_at_seven(text):
+    m = GridMatrix.parse(text)
+    assert enumerate_class(m, 7) == filter_class(m, 7)
+
+
+@pytest.mark.parametrize(
+    "text", [DEMO_MATRIX_TEXT, "+ .\n+ -", "+ +\n+ +", ". . +\n. - +\n+ + ."]
+)
+def test_word_sweep_matches_every_word(text):
+    m = GridMatrix.parse(text)
+    signs = find_signs(m)
+    for n in range(6):
+        assert enumerate_via_words(m, signs, n) == word_images(m, signs, n), n
+
+
+@pytest.mark.parametrize("text", [DEMO_MATRIX_TEXT, "+ +\n+ +"])
+def test_word_sweep_encodes_each_gridded_image_once(monkeypatch, text):
+    m = GridMatrix.parse(text)
+    signs = find_signs(m)
+    encoded = []
+
+    def recording_encode(*args):
+        encoded.append(encode(*args))
+        return encoded[-1]
+
+    monkeypatch.setattr("gridperms.enumeration.encode", recording_encode)
+    enumerate_via_words(m, signs, 5)
+    every_word = product(sorted(alphabet(m)), repeat=5)
+    assert len(encoded) == len(set(encoded))
+    assert set(encoded) == {encode(m, signs, word) for word in every_word}
+
+
+def test_word_sweep_does_not_recurse():
+    identity = Permutation(tuple(range(1, 3001)))
+    one_cell = GridMatrix.parse("+")
+    assert enumerate_via_words(one_cell, SignAssignment((1,), (1,)), 3000) == {identity}
+
+
+def test_sweeps_leave_no_reference_cycles(demo_matrix, demo_signs):
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_via_words(demo_matrix, demo_signs, 5)
+        counting_sequence(demo_matrix, 6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("text", [DEMO_MATRIX_TEXT, "+ .\n+ -"])
+def test_growth_ratio_near_squared_spectral_radius(text):
+    # Bevan: the class grows like rho(G) ** 2 per length, where G is the
+    # row-column graph.  By length 8 the ratio of consecutive counts lies
+    # within 10% above that limit.
+    numpy = pytest.importorskip("numpy")
+    m = GridMatrix.parse(text)
+    adjacency = numpy.zeros((m.t + m.u, m.t + m.u))
+    for k, l in m.nonzero_cells():
+        adjacency[k - 1, m.t + l - 1] = adjacency[m.t + l - 1, k - 1] = 1
+    rho_squared = max(numpy.linalg.eigvalsh(adjacency)) ** 2
+    counts = counting_sequence(m, 8)
+    assert rho_squared <= counts[7] / counts[6] <= 1.1 * rho_squared
