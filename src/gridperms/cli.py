@@ -29,11 +29,6 @@ from .matrices import GridMatrix
 from .perms import Permutation
 
 
-def _load_matrix(path: str) -> GridMatrix:
-    with open(path, encoding="utf-8") as handle:
-        return GridMatrix.parse(handle.read())
-
-
 def _parse_signs(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(","))
@@ -59,16 +54,14 @@ def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
     print(json.dumps(payload) if args.json else text)
 
 
-def cmd_signs(args: argparse.Namespace) -> int:
-    matrix = _load_matrix(args.matrix_file)
+def cmd_signs(matrix: GridMatrix, args: argparse.Namespace) -> int:
     signs = find_signs(matrix)
     _emit(args, _format_signs(signs),
           {"col_signs": list(signs.col_signs), "row_signs": list(signs.row_signs)})
     return 0
 
 
-def cmd_member(args: argparse.Namespace) -> int:
-    matrix = _load_matrix(args.matrix_file)
+def cmd_member(matrix: GridMatrix, args: argparse.Namespace) -> int:
     pi = Permutation.parse(args.perm)
     gridding = find_gridding(pi, matrix)
     if gridding is None:
@@ -79,8 +72,7 @@ def cmd_member(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_grid_check(args: argparse.Namespace) -> int:
-    matrix = _load_matrix(args.matrix_file)
+def cmd_grid_check(matrix: GridMatrix, args: argparse.Namespace) -> int:
     pi = Permutation.parse(args.perm)
     gridding = Gridding.parse(" ".join(args.gridding))
     valid = check_gridding(pi, matrix, gridding)
@@ -88,8 +80,7 @@ def cmd_grid_check(args: argparse.Namespace) -> int:
     return 0 if valid else 1
 
 
-def cmd_encode(args: argparse.Namespace) -> int:
-    matrix = _load_matrix(args.matrix_file)
+def cmd_encode(matrix: GridMatrix, args: argparse.Namespace) -> int:
     word = parse_word(" ".join(args.word))
     signs = _resolve_signs(matrix, args)
     gp = encode(matrix, signs, word)
@@ -99,8 +90,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_decode(args: argparse.Namespace) -> int:
-    matrix = _load_matrix(args.matrix_file)
+def cmd_decode(matrix: GridMatrix, args: argparse.Namespace) -> int:
     pi = Permutation.parse(args.perm)
     gridding = Gridding.parse(" ".join(args.gridding))
     signs = _resolve_signs(matrix, args)
@@ -109,23 +99,20 @@ def cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_enum(args: argparse.Namespace) -> int:
-    matrix = _load_matrix(args.matrix_file)
+def cmd_enum(matrix: GridMatrix, args: argparse.Namespace) -> int:
     members = sorted(enumerate_class(matrix, args.n), key=lambda p: p.entries)
     _emit(args, "\n".join(str(pi) for pi in members),
           {"n": args.n, "perms": [str(pi) for pi in members]})
     return 0
 
 
-def cmd_count(args: argparse.Namespace) -> int:
-    matrix = _load_matrix(args.matrix_file)
+def cmd_count(matrix: GridMatrix, args: argparse.Namespace) -> int:
     counts = counting_sequence(matrix, args.n_max)
     _emit(args, ",".join(str(c) for c in counts), {"counts": list(counts)})
     return 0
 
 
-def cmd_graph(args: argparse.Namespace) -> int:
-    matrix = _load_matrix(args.matrix_file)
+def cmd_graph(matrix: GridMatrix, args: argparse.Namespace) -> int:
     if args.cell:
         graph = cell_graph(matrix)
         vertices = [f"{k},{l}" for k, l in graph.vertices]
@@ -208,7 +195,9 @@ def _make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _make_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        with open(args.matrix_file, encoding="utf-8") as handle:
+            matrix = GridMatrix.parse(handle.read())
+        return args.handler(matrix, args)
     except NotPartialMultiplicationError as exc:
         cycle = [f"{side}{i}" for side, i in exc.cycle]
         _emit(args, "NOT-PARTIAL-MULTIPLICATION\ncycle: " + " ".join(cycle),

@@ -61,21 +61,9 @@ def format_word(word: Word) -> str:
     return " ".join(f"{k},{l}" for k, l in word)
 
 
-def _ordered_positions(
-    positions_per_group: list[list[int]], signs: tuple[int, ...]
-) -> dict[int, int]:
-    """Rank letter positions group by group, reversing negative groups.
-
-    Concatenating the groups (columns left to right, or rows bottom to top)
-    and ranking from 1 gives each position its coordinate.
-    """
-    coordinate = {}
-    rank = 1
-    for positions, sign in zip(positions_per_group, signs):
-        for j in positions if sign == 1 else reversed(positions):
-            coordinate[j] = rank
-            rank += 1
-    return coordinate
+def _oriented(band, sign: int):
+    """A band as listed when its sign is +1, reversed when it is -1."""
+    return band if sign == 1 else band[::-1]
 
 
 def encode(matrix: GridMatrix, signs: SignAssignment, word: Word) -> GriddedPermutation:
@@ -99,12 +87,16 @@ def encode(matrix: GridMatrix, signs: SignAssignment, word: Word) -> GriddedPerm
     for j, (k, l) in enumerate(word):
         by_column[k - 1].append(j)
         by_row[l - 1].append(j)
-    x = _ordered_positions(by_column, signs.col_signs)
-    y = _ordered_positions(by_row, signs.row_signs)
-
-    entries = [0] * len(word)
-    for j in range(len(word)):
-        entries[x[j] - 1] = y[j]
+    # Letter positions left to right (index order) and bottom to top
+    # (value order); entry i is the value of the i-th position by index.
+    by_index = [j for band, sign in zip(by_column, signs.col_signs)
+                for j in _oriented(band, sign)]
+    by_value = [j for band, sign in zip(by_row, signs.row_signs)
+                for j in _oriented(band, sign)]
+    value_of = [0] * len(word)
+    for value, j in enumerate(by_value, start=1):
+        value_of[j] = value
+    entries = [value_of[j] for j in by_index]
 
     cols, rows = [1], [1]
     for positions in by_column:
@@ -140,10 +132,10 @@ def row_col_orders(
     orders: dict[tuple[str, int], tuple[int, ...]] = {}
     for k in range(1, g.t + 1):
         band = pi.entries[g.cols[k - 1] - 1 : g.cols[k] - 1]
-        orders[("col", k)] = band if signs.col_signs[k - 1] == 1 else band[::-1]
+        orders[("col", k)] = _oriented(band, signs.col_signs[k - 1])
     for l in range(1, g.u + 1):
-        band = tuple(v for v in range(g.rows[l - 1], g.rows[l]))
-        orders[("row", l)] = band if signs.row_signs[l - 1] == 1 else band[::-1]
+        band = tuple(range(g.rows[l - 1], g.rows[l]))
+        orders[("row", l)] = _oriented(band, signs.row_signs[l - 1])
     return orders
 
 

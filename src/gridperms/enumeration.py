@@ -9,11 +9,12 @@ letters whose cells share neither a column nor a row commute without
 changing the encoded gridded permutation, so one word per commutation
 class suffices.  For matrices whose row-column graph is a forest the two
 agree; comparing them is the main cross-check this module exists for.
-Both refuse to start when their worst-case search space exceeds a cap.
+Both refuse to start when their unpruned tree would have more than
+SWEEP_BUDGET leaves: n! for the insertion tree, |alphabet| ** n for words.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .codec import Letter, Word, alphabet, encode
 from .graphs import SignAssignment
@@ -21,17 +22,30 @@ from .gridding import in_grid_class
 from .matrices import GridMatrix
 from .perms import Permutation
 
-FACTORIAL_CAP = 9
-WORD_BUDGET = 10**7
+SWEEP_BUDGET = 3 * 10**6
 
 
 class LimitExceededError(Exception):
-    """The requested sweep is larger than its module constant allows."""
+    """The requested sweep is larger than SWEEP_BUDGET allows."""
 
 
-def _require_factorial_cap(n: int) -> None:
-    if n > FACTORIAL_CAP:
-        raise LimitExceededError(f"n = {n} exceeds the factorial cap {FACTORIAL_CAP}")
+def _admit(n: int, widths: Iterable[int]) -> None:
+    """Refuse a negative length, or a sweep whose unpruned tree, with
+    widths giving each level's branching, has more than SWEEP_BUDGET leaves.
+    The product stops once it passes the budget or reaches 0 (an empty
+    alphabet), so any n is decided at once unless every width is 1.
+    """
+    if n < 0:
+        raise ValueError(f"length must be nonnegative: {n}")
+    leaves = 1
+    for width in widths:
+        leaves *= width
+        if leaves > SWEEP_BUDGET:
+            raise LimitExceededError(
+                f"a length-{n} sweep has more than {SWEEP_BUDGET} unpruned leaves"
+            )
+        if not leaves:
+            return
 
 
 def _class_levels(matrix: GridMatrix, n_max: int) -> Iterator[list[Permutation]]:
@@ -59,12 +73,10 @@ def enumerate_class(matrix: GridMatrix, n: int) -> set[Permutation]:
     """All length-n members of the matrix's grid class.
 
     Grows the class length by length through one-point insertions, so the
-    gridding search sees at most n times the previous level.  Lengths over
-    FACTORIAL_CAP are refused.
+    gridding search sees at most n times the previous level.  Lengths with
+    n! > SWEEP_BUDGET are refused before any work.
     """
-    if n < 0:
-        raise ValueError(f"length must be nonnegative: {n}")
-    _require_factorial_cap(n)
+    _admit(n, range(1, n + 1))
     *_, members = _class_levels(matrix, n)
     return set(members)
 
@@ -93,16 +105,11 @@ def enumerate_via_words(
 
     Words equal up to commuting letters encode the same gridded
     permutation, so only the lexicographic trace normal forms are encoded;
-    the image set is that of all |alphabet| ** n words.  Requests with more
-    than WORD_BUDGET words are refused.
+    the image set is that of all |alphabet| ** n words.  Lengths with
+    |alphabet| ** n > SWEEP_BUDGET are refused before any work.
     """
-    if n < 0:
-        raise ValueError(f"length must be nonnegative: {n}")
     letters = sorted(alphabet(matrix))
-    if len(letters) ** n > WORD_BUDGET:
-        raise LimitExceededError(
-            f"{len(letters)} ** {n} words exceed the budget {WORD_BUDGET}"
-        )
+    _admit(n, (len(letters) for _ in range(n)))
     images = set()
     # Depth-first over normal forms with an explicit stack, so long words
     # cannot exhaust the interpreter's recursion limit.
@@ -119,8 +126,13 @@ def enumerate_via_words(
 
 
 def counting_sequence(matrix: GridMatrix, n_max: int) -> tuple[int, ...]:
-    """Class sizes at lengths 1..n_max, e.g. (1, 2, 5) for a 1x2 all-ones
-    matrix.  One walk of the insertion tree gives every length.  An n_max
-    over FACTORIAL_CAP is refused before any work."""
-    _require_factorial_cap(n_max)
+    """Class sizes at lengths 1..n_max.
+
+    One walk of the insertion tree gives every length.  An n_max that
+    enumerate_class would refuse is refused before any work.
+
+    >>> counting_sequence(GridMatrix.parse("+ +"), 3)
+    (1, 2, 5)
+    """
+    _admit(n_max, range(1, n_max + 1))
     return tuple(len(level) for level in _class_levels(matrix, n_max))[1:]

@@ -104,10 +104,6 @@ def containment_witness(
     chosen indices are the stack, so no pattern length hits a recursion limit.
     """
     n, k = len(pi), len(sigma)
-    if k == 0:
-        return ()
-    if k > n:
-        return None
     p = pi.entries
     s = sigma.entries
     chosen: list[int] = []

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,11 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridperms
 from gridperms.cli import main
 
 from .conftest import DEMO_MATRIX_TEXT
+from .strategies import permutations
 
 
 @pytest.fixture
@@ -244,6 +249,77 @@ def test_usage_errors_exit_two(capsys, tmp_path, demo_file):
     assert payload["message"]
 
 
+def test_count_refuses_negative_length(capsys, demo_file):
+    assert run(capsys, "count", demo_file, "-1") == (2, "")
+    code, out = run(capsys, "--json", "count", demo_file, "-1")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "BAD-INPUT"
+    assert payload["message"]
+
+
 def test_encode_rejects_letters_outside_alphabet(capsys, demo_file):
     assert main(["encode", demo_file, "1,2"]) == 2
     capsys.readouterr()
+
+
+MATRIX_TOKENS = [".", "+", "-", "0", "1", "-1"]
+JUNK_TOKENS = ["x", "2", "++"]
+ARGUMENTS = {
+    "perm": permutations(max_n=7).map(str),
+    "cols": st.sampled_from(["cols=1,2", "cols=1,1,2", "cols=1,2,3", "cols=1,3,4,5",
+                             "cols=1,1", "cols=x"]),
+    "rows": st.sampled_from(["rows=1,2", "rows=1,3", "rows=1,2,3,4", "rows=2,1"]),
+    "word": st.sampled_from(["1,1", "2,1", "1,2 2,2", "3,3", "0,1", "1,"]),
+    "flag": st.sampled_from(["--col-signs=1,-1", "--row-signs=-1", "--col-signs=1,1,1",
+                             "--row-signs=1,1", "--col-signs=2", "--row-signs=x",
+                             "--cell"]),
+    "length": st.one_of(st.integers(-3, 5), st.sampled_from([10, 10**9])).map(str),
+}
+# the arguments each subcommand expects, so that many draws get past argparse
+SHAPES = {
+    "signs": [], "member": ["perm"], "grid-check": ["perm", "cols", "rows"],
+    "encode": ["word", "word", "flag"], "decode": ["perm", "cols", "rows", "flag"],
+    "enum": ["length"], "count": ["length"], "graph": ["flag"], "frobnicate": [],
+}
+
+
+@st.composite
+def matrix_texts(draw):
+    """Matrix file contents, mostly well formed; None for a missing file."""
+    shape = draw(st.sampled_from(["missing", "junk", "ragged"] + ["rectangular"] * 5))
+    if shape == "missing":
+        return None
+    tokens = st.sampled_from(MATRIX_TOKENS + JUNK_TOKENS * (shape == "junk"))
+    width = draw(st.integers(1, 3))
+    lines = draw(st.lists(st.lists(tokens, min_size=width, max_size=width),
+                          min_size=shape != "junk", max_size=3))
+    if shape == "ragged":
+        lines.append(draw(st.lists(tokens, max_size=3)))
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@st.composite
+def cli_argvs(draw, path):
+    command = draw(st.sampled_from(list(SHAPES)))
+    kinds = SHAPES[command]
+    if draw(st.booleans()):
+        kinds = draw(st.lists(st.sampled_from(list(ARGUMENTS)), max_size=4))
+    json_flag = ["--json"] if draw(st.booleans()) else []
+    return [*json_flag, command, path, *(draw(ARGUMENTS[kind]) for kind in kinds)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=matrix_texts(), data=st.data())
+def test_main_only_returns_exit_codes(tmp_path_factory, text, data):
+    path = tmp_path_factory.mktemp("cli") / "matrix.txt"
+    if text is not None:
+        path.write_text(text)
+    argv = data.draw(cli_argvs(str(path)))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("argparse", exc.code)
+    assert code in (0, 1, 2, ("argparse", 2)), argv

@@ -1,4 +1,5 @@
 import gc
+import time
 from itertools import product
 
 import pytest
@@ -16,7 +17,6 @@ from gridperms import (
     find_signs,
     pattern_of,
 )
-from gridperms.enumeration import FACTORIAL_CAP
 
 from .conftest import DEMO_MATRIX_TEXT
 from .oracles import filter_class, word_images
@@ -63,17 +63,51 @@ def test_counting_sequence_refuses_before_any_work(monkeypatch):
         "gridperms.enumeration.in_grid_class", lambda *args: calls.append(args)
     )
     with pytest.raises(LimitExceededError):
-        counting_sequence(GridMatrix.parse("+"), FACTORIAL_CAP + 1)
+        counting_sequence(GridMatrix.parse("+"), 10)
+    assert calls == []
+
+
+def test_counting_sequence_refuses_negative_length():
+    with pytest.raises(ValueError):
+        counting_sequence(GridMatrix.parse("+"), -1)
+
+
+def test_class_sweep_admits_nine_and_refuses_any_longer(monkeypatch):
+    one_cell = GridMatrix.parse("+")
+    assert enumerate_class(one_cell, 9) == {Permutation(tuple(range(1, 10)))}
+    calls = []
+    monkeypatch.setattr(
+        "gridperms.enumeration.in_grid_class", lambda *args: calls.append(args)
+    )
+    for n in (10, 10**100):
+        with pytest.raises(LimitExceededError):
+            enumerate_class(one_cell, n)
     assert calls == []
 
 
 def test_word_sweep_budget(monkeypatch, demo_matrix, demo_signs):
     # four letters, so 4 ** 3 = 64 words
-    monkeypatch.setattr("gridperms.enumeration.WORD_BUDGET", 63)
+    monkeypatch.setattr("gridperms.enumeration.SWEEP_BUDGET", 63)
     with pytest.raises(LimitExceededError):
         enumerate_via_words(demo_matrix, demo_signs, 3)
-    monkeypatch.setattr("gridperms.enumeration.WORD_BUDGET", 64)
+    monkeypatch.setattr("gridperms.enumeration.SWEEP_BUDGET", 64)
     enumerate_via_words(demo_matrix, demo_signs, 3)
+
+
+@pytest.mark.parametrize("n", [11, 10**8, 10**100])
+def test_word_sweep_refuses_at_once(monkeypatch, demo_matrix, demo_signs, n):
+    calls = []
+    monkeypatch.setattr("gridperms.enumeration.encode", lambda *args: calls.append(args))
+    start = time.perf_counter()
+    with pytest.raises(LimitExceededError):
+        enumerate_via_words(demo_matrix, demo_signs, n)
+    assert time.perf_counter() - start < 0.25
+    assert calls == []
+
+
+def test_word_sweep_over_empty_alphabet_admits_any_length():
+    zero = GridMatrix.parse(". .")
+    assert enumerate_via_words(zero, find_signs(zero), 10**9) == set()
 
 
 def test_word_images_length_one(demo_matrix, demo_signs):

@@ -24,6 +24,7 @@ def test_readme_tour_and_module_doctests():
         doctest.testfile(str(readme), module_relative=False),
         doctest.testmod(gridperms.perms),
         doctest.testmod(gridperms.codec),
+        doctest.testmod(gridperms.enumeration),
     ]
-    assert [r.failed for r in results] == [0, 0, 0]
+    assert [r.failed for r in results] == [0, 0, 0, 0]
     assert all(r.attempted for r in results)
