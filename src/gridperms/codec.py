@@ -14,10 +14,10 @@ words, which is what makes word images useful for sweeping grid classes.
 """
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from collections import deque
 
 from .graphs import SignAssignment
-from .gridding import Gridding, GriddedPermutation
+from .gridding import Gridding, GriddedPermutation, _bands
 from .matrices import Cell, GridMatrix
 from .perms import Permutation
 
@@ -143,41 +143,31 @@ def decode(gp: GriddedPermutation, signs: SignAssignment) -> Word:
     """A word that encodes back to the given gridded permutation.
 
     Merges the row and column orders into one linear order on the entries
-    and reads off each entry's cell.  Only cover pairs (consecutive entries
-    of one order) are recorded; a pair consecutive in both its column and its
-    row order is counted and released twice, by the same pop.  Ties are
-    broken toward the entry with the least index, so the output is
-    deterministic.  Distinct valid words can exist (letters of independent
-    cells commute), so round trips are stable at the gridded-permutation
-    level, not the word level.
+    and reads off each entry's cell.  An entry comes next when it heads both
+    its column's and its row's order; among such entries the one with the
+    least index goes first, so the output is deterministic.  Distinct valid
+    words can exist (letters of independent cells commute), so round trips
+    are stable at the gridded-permutation level, not the word level.
 
     Raises InconsistentOrdersError when the orders conflict, which can only
     happen if the matrix's row-column graph has a cycle.
     """
     orders = row_col_orders(gp, signs)
-    pi = gp.perm
-    n = len(pi)
-    index_of = {value: index for index, value in enumerate(pi, start=1)}
-
-    successors: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    predecessors = {v: 0 for v in range(1, n + 1)}
-    for order in orders.values():
-        for a, b in zip(order, order[1:]):
-            successors[a].append(b)
-            predecessors[b] += 1
-
-    ready = [index_of[v] for v in predecessors if predecessors[v] == 0]
-    ready.sort()
+    g = gp.gridding
+    row_of = _bands(g.rows)
+    columns = [deque(orders[("col", k)]) for k in range(1, g.t + 1)]
+    rows = [deque(orders[("row", l)]) for l in range(1, g.u + 1)]
     word = []
-    while ready:
-        index = heappop(ready)
-        word.append(gp.cell_of(index))
-        for succ in successors[pi.entries[index - 1]]:
-            predecessors[succ] -= 1
-            if predecessors[succ] == 0:
-                heappush(ready, index_of[succ])
-    if len(word) != n:
-        raise InconsistentOrdersError(
-            "row and column orders have no common linear extension"
-        )
+    for _ in range(len(gp.perm)):
+        # Leftmost column = least index: the columns are consecutive index bands.
+        for k, column in enumerate(columns, start=1):
+            if column and rows[row_of[column[0] - 1]][0] == column[0]:
+                break
+        else:
+            raise InconsistentOrdersError(
+                "row and column orders have no common linear extension"
+            )
+        row = row_of[column.popleft() - 1]
+        rows[row].popleft()
+        word.append((k, row + 1))
     return tuple(word)

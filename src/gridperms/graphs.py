@@ -8,7 +8,6 @@ a factorization or produces a negative cycle as a witness.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -98,7 +97,7 @@ def cell_graph(matrix: GridMatrix) -> CellGraph:
         in_row = [c for c in cells if c[1] == l]
         edges.extend(zip(in_row, in_row[1:]))
     for k in range(1, matrix.t + 1):
-        in_col = sorted(c for c in cells if c[0] == k)
+        in_col = [c for c in cells if c[0] == k]
         edges.extend(zip(in_col, in_col[1:]))
     return CellGraph(cells, labels, tuple(edges))
 
@@ -153,35 +152,24 @@ def cycle_sign(matrix: GridMatrix, cycle: Sequence[Vertex]) -> int:
     return sign
 
 
-def _conflict_cycle(
-    v: Vertex, w: Vertex, parent: dict[Vertex, Vertex | None]
-) -> tuple[Vertex, ...]:
-    """Cycle through the tree paths of v and w plus the edge {v, w}."""
-    ancestors = []
-    a: Vertex | None = v
-    while a is not None:
-        ancestors.append(a)
-        a = parent[a]
-    ancestor_set = set(ancestors)
-    path_w = []
-    b: Vertex = w
-    while b not in ancestor_set:
-        path_w.append(b)
-        b = parent[b]  # type: ignore[assignment]
-    path_v = ancestors[: ancestors.index(b) + 1]  # v .. lca
-    return tuple(path_v) + tuple(reversed(path_w))  # v .. lca .. w, closes at v
-
-
 def find_signs(matrix: GridMatrix) -> SignAssignment:
-    """Column and row signs with entry(k, l) in {0, c_k * r_l} for all cells.
+    r"""Column and row signs with entry(k, l) in {0, c_k * r_l} for all cells.
 
     Works per connected component of the row-column graph: the least-indexed
     vertex (columns before rows, then by index) gets +1, and signs propagate
-    along edges as sign(neighbor) = sign(vertex) * edge sign.  Isolated
-    vertices get +1.  A propagation conflict means some cycle has negative
-    sign, and the offending cycle is reported.
+    depth-first along edges as sign(neighbor) = sign(vertex) * edge sign.
+    Isolated vertices get +1.  An edge that contradicts the signs already
+    set closes a negative cycle: the depth-first path from the edge's far
+    end down to the vertex being explored, closed by that edge.
 
     Raises NotPartialMultiplicationError if no assignment exists.
+
+    >>> find_signs(GridMatrix.parse(". + +\n+ . -"))
+    SignAssignment(col_signs=(1, -1, -1), row_signs=(1, -1))
+    >>> find_signs(GridMatrix.parse("- +\n+ +"))
+    Traceback (most recent call last):
+    ...
+    gridperms.graphs.NotPartialMultiplicationError: negative cycle x1 y1 x2 y2
     """
     graph = row_column_graph(matrix)
     adjacency: dict[Vertex, list[tuple[Vertex, int]]] = {v: [] for v in graph.vertices}
@@ -190,23 +178,27 @@ def find_signs(matrix: GridMatrix) -> SignAssignment:
         adjacency[yv].append((xv, sign))
 
     signs: dict[Vertex, int] = {}
-    parent: dict[Vertex, Vertex | None] = {}
     for root in graph.vertices:
         if root in signs:
             continue
         signs[root] = 1
-        parent[root] = None
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w, edge_sign in adjacency[v]:
+        path = [root]
+        branches = [iter(adjacency[root])]
+        while path:
+            v = path[-1]
+            for w, edge_sign in branches[-1]:
                 wanted = signs[v] * edge_sign
                 if w not in signs:
                     signs[w] = wanted
-                    parent[w] = v
-                    queue.append(w)
-                elif signs[w] != wanted:
-                    raise NotPartialMultiplicationError(_conflict_cycle(v, w, parent))
+                    path.append(w)
+                    branches.append(iter(adjacency[w]))
+                    break
+                if signs[w] != wanted:
+                    # No cross edges in an undirected DFS: w is on the path.
+                    raise NotPartialMultiplicationError(tuple(path[path.index(w):]))
+            else:
+                path.pop()
+                branches.pop()
 
     return SignAssignment(
         tuple(signs[("x", k)] for k in range(1, matrix.t + 1)),

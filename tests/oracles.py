@@ -76,6 +76,38 @@ def brute_griddings(pi, matrix):
     return found
 
 
+def least_index_replay(pi, matrix, cols, rows, col_signs, row_signs):
+    """The word decode should give for this gridding and these signs, or
+    None when the column and row insertion orders conflict.
+
+    Each entry's column predecessor is its left neighbour in its column band
+    when the column sign is +1 and its right neighbour when it is -1; its row
+    predecessor is the value just below in its row band for +1 and just
+    above for -1.  The replay then places, again and again, the least
+    unplaced index whose predecessors are placed."""
+    p = tuple(pi)
+    n = len(p)
+    index_of = {v: i for i, v in enumerate(p, start=1)}
+    cells, needs = {}, {}
+    for i, v in enumerate(p, start=1):
+        k = next(k for k in range(1, matrix.t + 1) if i < cols[k])
+        l = next(l for l in range(1, matrix.u + 1) if v < rows[l])
+        cells[i], needs[i] = (k, l), set()
+        before, below = i - col_signs[k - 1], v - row_signs[l - 1]
+        if cols[k - 1] <= before < cols[k]:
+            needs[i].add(before)
+        if rows[l - 1] <= below < rows[l]:
+            needs[i].add(index_of[below])
+    placed, word = set(), []
+    while len(word) < n:
+        ready = [i for i in range(1, n + 1) if i not in placed and needs[i] <= placed]
+        if not ready:
+            return None
+        placed.add(ready[0])
+        word.append(cells[ready[0]])
+    return tuple(word)
+
+
 def brute_sign_assignments(matrix):
     """All (col_signs, row_signs) pairs matching every nonzero entry,
     by exhausting all 2^(t+u) candidates."""

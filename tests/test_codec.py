@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from gridperms import (
 )
 
 from .conftest import DEMO_MATRIX_TEXT, DEMO_WORD_TEXT
+from .oracles import brute_griddings, brute_sign_assignments, least_index_replay
 from .strategies import words_over
 
 DEMO = GridMatrix.parse(DEMO_MATRIX_TEXT)
@@ -194,6 +197,30 @@ def test_decode_rejects_conflicting_orders(full_plus_matrix):
     signs = SignAssignment((1, 1), (1, 1))
     with pytest.raises(InconsistentOrdersError):
         decode(gp, signs)
+
+
+@pytest.mark.parametrize("text", [DEMO_MATRIX_TEXT, "+ +\n+ +", "- +\n+ -"])
+def test_decode_matches_least_index_replay(text):
+    # every sign assignment, every permutation of length <= 5 and every
+    # valid gridding: decode's word and its conflicts both follow the replay
+    m = GridMatrix.parse(text)
+    conflicts = 0
+    for col_signs, row_signs in brute_sign_assignments(m):
+        signs = SignAssignment(col_signs, row_signs)
+        for n in range(6):
+            for entries in permutations(range(1, n + 1)):
+                pi = Permutation(entries)
+                for cols, rows in brute_griddings(pi, m):
+                    gp = GriddedPermutation(pi, m, Gridding(cols, rows))
+                    expected = least_index_replay(pi, m, cols, rows, col_signs, row_signs)
+                    if expected is None:
+                        conflicts += 1
+                        with pytest.raises(InconsistentOrdersError):
+                            decode(gp, signs)
+                    else:
+                        assert decode(gp, signs) == expected
+    # only a cycle in the row-column graph lets the orders conflict
+    assert (conflicts > 0) == (text != DEMO_MATRIX_TEXT)
 
 
 def test_decode_with_normalized_signs(demo_matrix, demo_perm, demo_gridding):

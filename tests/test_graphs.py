@@ -161,6 +161,30 @@ def test_find_signs_reports_a_negative_cycle(unbalanced_matrix):
     assert cycle_sign(unbalanced_matrix, cycle) == -1
 
 
+@pytest.mark.parametrize("closed", [False, True])
+def test_find_signs_does_not_recurse_on_long_paths(closed):
+    # an N x N staircase, cells (i, i) and (i+1, i), whose row-column graph
+    # is a path on 2N vertices, longer than the default recursion limit; a
+    # -1 at (1, N) closes it into one negative cycle through every vertex
+    n = 600
+    columns = [[0] * n for _ in range(n)]
+    for i in range(n):
+        columns[i][i] = 1
+        if i + 1 < n:
+            columns[i + 1][i] = 1
+    if closed:
+        columns[0][n - 1] = -1
+    m = GridMatrix(tuple(tuple(column) for column in columns))
+    if not closed:
+        assert find_signs(m).verify(m)
+        return
+    with pytest.raises(NotPartialMultiplicationError) as exc_info:
+        find_signs(m)
+    cycle = exc_info.value.cycle
+    assert len(set(cycle)) == len(cycle) == 2 * n
+    assert cycle_sign(m, cycle) == -1
+
+
 def test_has_negative_cycle(demo_matrix, unbalanced_matrix):
     assert not has_negative_cycle(demo_matrix)
     assert has_negative_cycle(unbalanced_matrix)
