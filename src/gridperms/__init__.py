@@ -19,12 +19,7 @@ from .codec import (
     row_col_orders,
     subword_leq,
 )
-from .enumeration import (
-    LimitExceededError,
-    counting_sequence,
-    enumerate_class,
-    enumerate_via_words,
-)
+from .enumeration import counting_sequence, enumerate_class, enumerate_via_words
 from .graphs import (
     CellGraph,
     NotPartialMultiplicationError,
@@ -40,6 +35,7 @@ from .graphs import (
 from .gridding import (
     Gridding,
     GriddedPermutation,
+    LimitExceededError,
     check_gridding,
     find_gridding,
     in_grid_class,

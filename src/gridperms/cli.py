@@ -5,7 +5,7 @@ same serialization the flags accept, so outputs can be piped back in.
 Exit codes: 0 success, 1 negative domain answer (NOT-A-MEMBER,
 NOT-PARTIAL-MULTIPLICATION, INCONSISTENT-ORDERS, INVALID), 2 usage or
 parse errors.  Under ``--json`` an exit-2 error prints one object on stdout,
-``{"error": "LIMIT-EXCEEDED", "message": ...}`` for an oversized sweep and
+``{"error": "LIMIT-EXCEEDED", "message": ...}`` for an oversized search and
 ``{"error": "BAD-INPUT", "message": ...}`` for an unreadable or malformed
 input; argparse's own usage errors stay plain text on stderr.
 """
@@ -16,7 +16,7 @@ import json
 import sys
 
 from .codec import InconsistentOrdersError, decode, encode, format_word, parse_word
-from .enumeration import LimitExceededError, counting_sequence, enumerate_class
+from .enumeration import counting_sequence, enumerate_class
 from .graphs import (
     NotPartialMultiplicationError,
     SignAssignment,
@@ -24,7 +24,9 @@ from .graphs import (
     find_signs,
     row_column_graph,
 )
-from .gridding import Gridding, GriddedPermutation, check_gridding, find_gridding
+from .gridding import (
+    Gridding, GriddedPermutation, LimitExceededError, check_gridding, find_gridding,
+)
 from .matrices import GridMatrix
 from .perms import Permutation
 

@@ -9,43 +9,18 @@ letters whose cells share neither a column nor a row commute without
 changing the encoded gridded permutation, so one word per commutation
 class suffices.  For matrices whose row-column graph is a forest the two
 agree; comparing them is the main cross-check this module exists for.
-Both refuse to start when their unpruned tree would have more than
-SWEEP_BUDGET leaves: n! for the insertion tree, |alphabet| ** n for words.
+Both count their unpruned tree's nodes against ``gridding.SEARCH_BUDGET``
+before any work: k! at depth k of the insertion tree, |alphabet| ** k of words.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
-from .codec import Letter, Word, alphabet, encode
+from .codec import Letter, alphabet, encode
 from .graphs import SignAssignment
-from .gridding import in_grid_class
+from .gridding import _admit, in_grid_class
 from .matrices import GridMatrix
 from .perms import Permutation
-
-SWEEP_BUDGET = 3 * 10**6
-
-
-class LimitExceededError(Exception):
-    """The requested sweep is larger than SWEEP_BUDGET allows."""
-
-
-def _admit(n: int, widths: Iterable[int]) -> None:
-    """Refuse a negative length, or a sweep whose unpruned tree, with
-    widths giving each level's branching, has more than SWEEP_BUDGET leaves.
-    The product stops once it passes the budget or reaches 0 (an empty
-    alphabet), so any n is decided at once unless every width is 1.
-    """
-    if n < 0:
-        raise ValueError(f"length must be nonnegative: {n}")
-    leaves = 1
-    for width in widths:
-        leaves *= width
-        if leaves > SWEEP_BUDGET:
-            raise LimitExceededError(
-                f"a length-{n} sweep has more than {SWEEP_BUDGET} unpruned leaves"
-            )
-        if not leaves:
-            return
 
 
 def _class_levels(matrix: GridMatrix, n_max: int) -> Iterator[list[Permutation]]:
@@ -55,6 +30,7 @@ def _class_levels(matrix: GridMatrix, n_max: int) -> Iterator[list[Permutation]]
     member and keeps the candidates in the class.  Deleting n from a
     candidate recovers its parent and position, so no candidate repeats.
     """
+    _admit(n_max, ((k, 1) for k in range(1, n_max + 1)))
     level = [Permutation(())]
     yield level
     for n in range(1, n_max + 1):
@@ -73,15 +49,14 @@ def enumerate_class(matrix: GridMatrix, n: int) -> set[Permutation]:
     """All length-n members of the matrix's grid class.
 
     Grows the class length by length through one-point insertions, so the
-    gridding search sees at most n times the previous level.  Lengths with
-    n! > SWEEP_BUDGET are refused before any work.
+    gridding search sees at most n times the previous level.  Lengths past
+    9 are over the search budget and refused before any work.
     """
-    _admit(n, range(1, n + 1))
     *_, members = _class_levels(matrix, n)
     return set(members)
 
 
-def _extends_normal_form(word: Word, letter: Letter) -> bool:
+def _extends_normal_form(word: list[Letter], letter: Letter) -> bool:
     """Whether appending the letter to a lexicographic trace normal form
     gives another one.
 
@@ -105,24 +80,26 @@ def enumerate_via_words(
 
     Words equal up to commuting letters encode the same gridded
     permutation, so only the lexicographic trace normal forms are encoded;
-    the image set is that of all |alphabet| ** n words.  Lengths with
-    |alphabet| ** n > SWEEP_BUDGET are refused before any work.
+    the image set is that of all |alphabet| ** n words.  Lengths whose word
+    tree is over the search budget are refused before any work.
     """
     letters = sorted(alphabet(matrix))
-    _admit(n, (len(letters) for _ in range(n)))
+    _admit(n, [(len(letters), n)])
     images = set()
-    # Depth-first over normal forms with an explicit stack, so long words
-    # cannot exhaust the interpreter's recursion limit.
-    stack: list[Word] = [()]
-    while stack:
-        word = stack.pop()
+    # Depth-first with an explicit stack, so long words cannot exhaust the
+    # recursion limit; entries (depth, letter) extend one shared prefix.
+    word: list[Letter] = []
+    stack: list[tuple[int, Letter]] = []
+    while True:
         if len(word) == n:
-            images.add(encode(matrix, signs, word).perm)
-            continue
-        for letter in letters:
-            if _extends_normal_form(word, letter):
-                stack.append(word + (letter,))
-    return images
+            images.add(encode(matrix, signs, tuple(word)).perm)
+        else:
+            stack += [(len(word), x) for x in letters if _extends_normal_form(word, x)]
+        if not stack:
+            return images
+        depth, letter = stack.pop()
+        del word[depth:]
+        word.append(letter)
 
 
 def counting_sequence(matrix: GridMatrix, n_max: int) -> tuple[int, ...]:
@@ -134,5 +111,4 @@ def counting_sequence(matrix: GridMatrix, n_max: int) -> tuple[int, ...]:
     >>> counting_sequence(GridMatrix.parse("+ +"), 3)
     (1, 2, 5)
     """
-    _admit(n_max, range(1, n_max + 1))
     return tuple(len(level) for level in _class_levels(matrix, n_max))[1:]

@@ -7,16 +7,51 @@ and 1 = r_1 <= ... <= r_(u+1) = n+1 over values.  Column k spans indices
 divisions make empty columns or rows.  The gridding is valid for a matrix
 when every cell's entries are increasing, decreasing, or absent as the
 matrix entry is 1, -1, or 0.
+
+Every exhaustive search in the package first admits its unpruned tree: one
+with more than SEARCH_BUDGET nodes raises LimitExceededError before any work.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterator
+from math import comb
 
 from .matrices import Cell, GridMatrix
 from .perms import Permutation
+
+SEARCH_BUDGET = 3 * 10**6
+
+
+class LimitExceededError(Exception):
+    """The requested search is larger than SEARCH_BUDGET allows."""
+
+
+def _admit(n: int, runs: Iterable[tuple[int, int]]) -> None:
+    """Refuse a negative length, or a length-n search whose unpruned tree
+    has more than SEARCH_BUDGET nodes.  ``runs`` lists the tree's levels from
+    the root down as (width, depth): depth levels whose nodes each have width
+    children.  Unit widths are counted at once and other runs stop once the
+    count passes the budget or a level is empty, so any n is decided at once.
+    """
+    if n < 0:
+        raise ValueError(f"length must be nonnegative: {n}")
+    nodes = level = 1
+    for width, depth in runs:
+        if width == 1:
+            nodes += level * depth
+        else:
+            for _ in range(depth):
+                level *= width
+                nodes += level
+                if nodes > SEARCH_BUDGET or not level:
+                    break
+        if nodes > SEARCH_BUDGET:
+            raise LimitExceededError(
+                f"a length-{n} search has more than {SEARCH_BUDGET} nodes"
+            )
 
 
 @dataclass(frozen=True)
@@ -175,9 +210,12 @@ def find_gridding(pi: Permutation, matrix: GridMatrix) -> Gridding | None:
 
     Searches column divisions in lexicographic order with row divisions
     innermost, so the first hit is the least (cols, rows) pair.  Exhaustive:
-    None means no gridding exists.
+    None means no gridding exists.  Raises LimitExceededError before any
+    work when this tree of column and row divisions has more than
+    SEARCH_BUDGET nodes.
     """
     n = len(pi)
+    _admit(n, [(comb(n + parts - 1, parts - 1), 1) for parts in (matrix.t, matrix.u)])
     for cols in _division_sequences(n, matrix.t):
         col_of = _bands(cols)
         for rows in _division_sequences(n, matrix.u):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,44 @@ def test_decode_inconsistent_orders_without_asserts(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert (proc.returncode, proc.stdout) == (1, "INCONSISTENT-ORDERS\n")
+
+
+# 4x3 all-+ and the decreasing permutation of length 60: C(63, 3) column
+# times C(62, 2) row divisions, about 75M pairs, far over the search budget.
+OVERSIZED_MEMBER = ("+ + + +\n+ + + +\n+ + + +", " ".join(map(str, range(60, 0, -1))))
+
+
+def test_member_refuses_oversized_search_at_once(capsys, tmp_path):
+    text, perm = OVERSIZED_MEMBER
+    path = write_matrix(tmp_path, text)
+    start = time.perf_counter()
+    assert main(["member", path, perm]) == 2
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    start = time.perf_counter()
+    code, out = run(capsys, "--json", "member", path, perm)
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "LIMIT-EXCEEDED"
+    assert payload["message"]
+
+
+def test_member_refuses_oversized_search_without_asserts(tmp_path):
+    text, perm = OVERSIZED_MEMBER
+    path = write_matrix(tmp_path, text)
+    src = Path(gridperms.__file__).resolve().parents[1]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "gridperms.cli", "--json", "member", path, perm],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == "LIMIT-EXCEEDED"
 
 
 @pytest.mark.parametrize("argv", [

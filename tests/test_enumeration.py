@@ -14,6 +14,7 @@ from gridperms import (
     encode,
     enumerate_class,
     enumerate_via_words,
+    find_gridding,
     find_signs,
     pattern_of,
 )
@@ -86,11 +87,11 @@ def test_class_sweep_admits_nine_and_refuses_any_longer(monkeypatch):
 
 
 def test_word_sweep_budget(monkeypatch, demo_matrix, demo_signs):
-    # four letters, so 4 ** 3 = 64 words
-    monkeypatch.setattr("gridperms.enumeration.SWEEP_BUDGET", 63)
+    # four letters, so a depth-3 word tree has 1 + 4 + 16 + 64 = 85 nodes
+    monkeypatch.setattr("gridperms.gridding.SEARCH_BUDGET", 84)
     with pytest.raises(LimitExceededError):
         enumerate_via_words(demo_matrix, demo_signs, 3)
-    monkeypatch.setattr("gridperms.enumeration.SWEEP_BUDGET", 64)
+    monkeypatch.setattr("gridperms.gridding.SEARCH_BUDGET", 85)
     enumerate_via_words(demo_matrix, demo_signs, 3)
 
 
@@ -103,6 +104,62 @@ def test_word_sweep_refuses_at_once(monkeypatch, demo_matrix, demo_signs, n):
         enumerate_via_words(demo_matrix, demo_signs, n)
     assert time.perf_counter() - start < 0.25
     assert calls == []
+
+
+M33_TEXT = ". . +\n. - +\n+ + ."
+M43_TEXT = "+ + + +\n+ + + +\n+ + + +"
+SEARCHES = {
+    "enumerate_class": enumerate_class,
+    "counting_sequence": counting_sequence,
+    "enumerate_via_words": lambda m, n: enumerate_via_words(m, find_signs(m), n),
+    "find_gridding": lambda m, n: find_gridding(Permutation(tuple(range(n, 0, -1))), m),
+}
+
+
+# Each search's unpruned tree, in nodes: sum of k! for k <= n (insertion
+# tree), sum of |A| ** k for k <= n (words), 1 + C1 + C1 * C2 (griddings,
+# with C1 and C2 the numbers of column and row divisions).
+@pytest.mark.parametrize("search, text, admitted, refused", [
+    ("enumerate_class", "+", [9], [10]),
+    ("counting_sequence", "+", [9], [10]),
+    ("enumerate_via_words", DEMO_MATRIX_TEXT, [10], [11]),
+    ("enumerate_via_words", "+ +\n+ +", [10], [11]),
+    ("enumerate_via_words", M33_TEXT, [9], [10]),
+    ("enumerate_via_words", "+ .\n+ -", [13], [14]),
+    ("enumerate_via_words", "+", [2_999_999], [3_000_000, 10**100]),
+    ("find_gridding", DEMO_MATRIX_TEXT, [180], [181]),
+    ("find_gridding", M33_TEXT, [57], [58]),
+    ("find_gridding", M43_TEXT, [30], [31, 60]),
+    ("find_gridding", "+", [10**6], []),
+])
+def test_search_admission_edges(monkeypatch, search, text, admitted, refused):
+    # Stubs make an admitted search stop at once and record any work done.
+    calls = []
+    for target, result in [
+        ("gridperms.enumeration.in_grid_class", False),
+        ("gridperms.enumeration.encode", None),
+        ("gridperms.enumeration._extends_normal_form", False),
+        ("gridperms.gridding._cells_valid", True),
+    ]:
+        monkeypatch.setattr(target, lambda *args, result=result: calls.append(args) or result)
+    matrix = GridMatrix.parse(text)
+    for n in admitted:
+        SEARCHES[search](matrix, n)
+    calls.clear()
+    for n in refused:
+        start = time.perf_counter()
+        with pytest.raises(LimitExceededError, match="search .* nodes"):
+            SEARCHES[search](matrix, n)
+        assert time.perf_counter() - start < 0.25, n
+    assert calls == []
+
+
+def test_one_letter_word_sweep_is_linear():
+    one_cell = GridMatrix.parse("+")
+    start = time.perf_counter()
+    images = enumerate_via_words(one_cell, SignAssignment((1,), (1,)), 100_000)
+    assert time.perf_counter() - start < 3
+    assert images == {Permutation(tuple(range(1, 100_001)))}
 
 
 def test_word_sweep_over_empty_alphabet_admits_any_length():
