@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Subcommands wrap one library operation each and print its result in the
-same serialization the flags accept, so outputs can be piped back in.
+Subcommands wrap one library operation each and return its result as an
+exit code, a plain text and a JSON payload; ``main`` is the one place that
+prints, the payload under ``--json`` and the text otherwise.  The text is
+the same serialization the flags accept, so outputs can be piped back in.
 Exit codes: 0 success, 1 negative domain answer (NOT-A-MEMBER,
 NOT-PARTIAL-MULTIPLICATION, INCONSISTENT-ORDERS, INVALID), 2 usage or
 parse errors.  Under ``--json`` an exit-2 error prints one object on stdout,
@@ -30,18 +32,15 @@ from .gridding import (
 from .matrices import GridMatrix
 from .perms import Permutation
 
+# What a subcommand returns: exit code, plain text, JSON payload.
+Result = tuple[int, str, dict]
+
 
 def _parse_signs(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse signs from {text!r}") from None
-
-
-def _format_signs(signs: SignAssignment) -> str:
-    cols = ",".join(str(s) for s in signs.col_signs)
-    rows = ",".join(str(s) for s in signs.row_signs)
-    return f"col_signs={cols} row_signs={rows}"
 
 
 def _resolve_signs(matrix: GridMatrix, args: argparse.Namespace) -> SignAssignment:
@@ -52,69 +51,60 @@ def _resolve_signs(matrix: GridMatrix, args: argparse.Namespace) -> SignAssignme
     return SignAssignment(col_signs, row_signs)
 
 
-def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
-    print(json.dumps(payload) if args.json else text)
+def _gridded(perm: Permutation, gridding: Gridding) -> dict:
+    return {"perm": str(perm), "cols": list(gridding.cols), "rows": list(gridding.rows)}
 
 
-def cmd_signs(matrix: GridMatrix, args: argparse.Namespace) -> int:
+def cmd_signs(matrix: GridMatrix, args: argparse.Namespace) -> Result:
     signs = find_signs(matrix)
-    _emit(args, _format_signs(signs),
-          {"col_signs": list(signs.col_signs), "row_signs": list(signs.row_signs)})
-    return 0
+    cols = ",".join(str(s) for s in signs.col_signs)
+    rows = ",".join(str(s) for s in signs.row_signs)
+    payload = {"col_signs": list(signs.col_signs), "row_signs": list(signs.row_signs)}
+    return 0, f"col_signs={cols} row_signs={rows}", payload
 
 
-def cmd_member(matrix: GridMatrix, args: argparse.Namespace) -> int:
+def cmd_member(matrix: GridMatrix, args: argparse.Namespace) -> Result:
     pi = Permutation.parse(args.perm)
     gridding = find_gridding(pi, matrix)
     if gridding is None:
-        _emit(args, "NOT-A-MEMBER", {"error": "NOT-A-MEMBER"})
-        return 1
-    _emit(args, gridding.format(),
-          {"perm": str(pi), "cols": list(gridding.cols), "rows": list(gridding.rows)})
-    return 0
+        return 1, "NOT-A-MEMBER", {"error": "NOT-A-MEMBER"}
+    return 0, gridding.format(), _gridded(pi, gridding)
 
 
-def cmd_grid_check(matrix: GridMatrix, args: argparse.Namespace) -> int:
+def cmd_grid_check(matrix: GridMatrix, args: argparse.Namespace) -> Result:
     pi = Permutation.parse(args.perm)
     gridding = Gridding.parse(" ".join(args.gridding))
-    valid = check_gridding(pi, matrix, gridding)
-    _emit(args, "VALID" if valid else "INVALID", {"valid": valid})
-    return 0 if valid else 1
+    if check_gridding(pi, matrix, gridding):
+        return 0, "VALID", {"valid": True}
+    return 1, "INVALID", {"valid": False}
 
 
-def cmd_encode(matrix: GridMatrix, args: argparse.Namespace) -> int:
+def cmd_encode(matrix: GridMatrix, args: argparse.Namespace) -> Result:
     word = parse_word(" ".join(args.word))
-    signs = _resolve_signs(matrix, args)
-    gp = encode(matrix, signs, word)
-    _emit(args, f"{gp.perm} {gp.gridding.format()}",
-          {"perm": str(gp.perm), "cols": list(gp.gridding.cols),
-           "rows": list(gp.gridding.rows)})
-    return 0
+    gp = encode(matrix, _resolve_signs(matrix, args), word)
+    return 0, f"{gp.perm} {gp.gridding.format()}", _gridded(gp.perm, gp.gridding)
 
 
-def cmd_decode(matrix: GridMatrix, args: argparse.Namespace) -> int:
+def cmd_decode(matrix: GridMatrix, args: argparse.Namespace) -> Result:
     pi = Permutation.parse(args.perm)
     gridding = Gridding.parse(" ".join(args.gridding))
     signs = _resolve_signs(matrix, args)
-    word = decode(GriddedPermutation(pi, matrix, gridding), signs)
-    _emit(args, format_word(word), {"word": format_word(word)})
-    return 0
+    word = format_word(decode(GriddedPermutation(pi, matrix, gridding), signs))
+    return 0, word, {"word": word}
 
 
-def cmd_enum(matrix: GridMatrix, args: argparse.Namespace) -> int:
+def cmd_enum(matrix: GridMatrix, args: argparse.Namespace) -> Result:
     members = sorted(enumerate_class(matrix, args.n), key=lambda p: p.entries)
-    _emit(args, "\n".join(str(pi) for pi in members),
-          {"n": args.n, "perms": [str(pi) for pi in members]})
-    return 0
+    perms = [str(pi) for pi in members]
+    return 0, "\n".join(perms), {"n": args.n, "perms": perms}
 
 
-def cmd_count(matrix: GridMatrix, args: argparse.Namespace) -> int:
+def cmd_count(matrix: GridMatrix, args: argparse.Namespace) -> Result:
     counts = counting_sequence(matrix, args.n_max)
-    _emit(args, ",".join(str(c) for c in counts), {"counts": list(counts)})
-    return 0
+    return 0, ",".join(str(c) for c in counts), {"counts": list(counts)}
 
 
-def cmd_graph(matrix: GridMatrix, args: argparse.Namespace) -> int:
+def cmd_graph(matrix: GridMatrix, args: argparse.Namespace) -> Result:
     if args.cell:
         graph = cell_graph(matrix)
         vertices = [f"{k},{l}" for k, l in graph.vertices]
@@ -129,15 +119,7 @@ def cmd_graph(matrix: GridMatrix, args: argparse.Namespace) -> int:
         ]
         lines = [f"{a} {b} {'+' if sign == 1 else '-'}" for a, b, sign in edges]
         payload = {"graph": "row-column", "vertices": vertices, "edges": edges}
-    _emit(args, "\n".join(lines), payload)
-    return 0
-
-
-def _add_sign_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--col-signs", metavar="SIGNS",
-                        help="comma-separated column signs, e.g. -1,1,1")
-    parser.add_argument("--row-signs", metavar="SIGNS",
-                        help="comma-separated row signs, e.g. -1,1")
+    return 0, "\n".join(lines), payload
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -147,49 +129,44 @@ def _make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="structured output")
     sub = parser.add_subparsers(dest="cmd", required=True)
+    # Arguments shared by several subcommands, declared once as parents.
+    matrix = argparse.ArgumentParser(add_help=False)
+    matrix.add_argument("matrix_file")
+    signs = argparse.ArgumentParser(add_help=False)
+    signs.add_argument("--col-signs", metavar="SIGNS",
+                       help="comma-separated column signs, e.g. -1,1,1")
+    signs.add_argument("--row-signs", metavar="SIGNS",
+                       help="comma-separated row signs, e.g. -1,1")
 
-    p = sub.add_parser("signs", help="column/row signs or a negative cycle")
-    p.add_argument("matrix_file")
-    p.set_defaults(handler=cmd_signs)
+    def command(name, handler, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=[matrix, *parents])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("member", help="find a gridding of a permutation")
-    p.add_argument("matrix_file")
+    command("signs", cmd_signs, "column/row signs or a negative cycle")
+
+    p = command("member", cmd_member, "find a gridding of a permutation")
     p.add_argument("perm")
-    p.set_defaults(handler=cmd_member)
 
-    p = sub.add_parser("grid-check", help="validate a given gridding")
-    p.add_argument("matrix_file")
+    p = command("grid-check", cmd_grid_check, "validate a given gridding")
     p.add_argument("perm")
     p.add_argument("gridding", nargs="+", metavar="cols=... rows=...")
-    p.set_defaults(handler=cmd_grid_check)
 
-    p = sub.add_parser("encode", help="word to gridded permutation")
-    p.add_argument("matrix_file")
+    p = command("encode", cmd_encode, "word to gridded permutation", signs)
     p.add_argument("word", nargs="*", metavar="k,l")
-    _add_sign_flags(p)
-    p.set_defaults(handler=cmd_encode)
 
-    p = sub.add_parser("decode", help="gridded permutation to word")
-    p.add_argument("matrix_file")
+    p = command("decode", cmd_decode, "gridded permutation to word", signs)
     p.add_argument("perm")
     p.add_argument("gridding", nargs="+", metavar="cols=... rows=...")
-    _add_sign_flags(p)
-    p.set_defaults(handler=cmd_decode)
 
-    p = sub.add_parser("enum", help="all class members of one length")
-    p.add_argument("matrix_file")
+    p = command("enum", cmd_enum, "all class members of one length")
     p.add_argument("n", type=int)
-    p.set_defaults(handler=cmd_enum)
 
-    p = sub.add_parser("count", help="class sizes at lengths 1..n_max")
-    p.add_argument("matrix_file")
+    p = command("count", cmd_count, "class sizes at lengths 1..n_max")
     p.add_argument("n_max", type=int)
-    p.set_defaults(handler=cmd_count)
 
-    p = sub.add_parser("graph", help="row-column or cell graph edge list")
-    p.add_argument("matrix_file")
+    p = command("graph", cmd_graph, "row-column or cell graph edge list")
     p.add_argument("--cell", action="store_true", help="cell graph instead")
-    p.set_defaults(handler=cmd_graph)
 
     return parser
 
@@ -199,22 +176,23 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.matrix_file, encoding="utf-8") as handle:
             matrix = GridMatrix.parse(handle.read())
-        return args.handler(matrix, args)
+        code, text, payload = args.handler(matrix, args)
     except NotPartialMultiplicationError as exc:
         cycle = [f"{side}{i}" for side, i in exc.cycle]
-        _emit(args, "NOT-PARTIAL-MULTIPLICATION\ncycle: " + " ".join(cycle),
-              {"error": "NOT-PARTIAL-MULTIPLICATION", "cycle": cycle})
-        return 1
+        code = 1
+        text = "NOT-PARTIAL-MULTIPLICATION\ncycle: " + " ".join(cycle)
+        payload = {"error": "NOT-PARTIAL-MULTIPLICATION", "cycle": cycle}
     except InconsistentOrdersError:
-        _emit(args, "INCONSISTENT-ORDERS", {"error": "INCONSISTENT-ORDERS"})
-        return 1
+        code, text, payload = 1, "INCONSISTENT-ORDERS", {"error": "INCONSISTENT-ORDERS"}
     except (ValueError, LimitExceededError, OSError) as exc:
-        if args.json:
-            label = "LIMIT-EXCEEDED" if isinstance(exc, LimitExceededError) else "BAD-INPUT"
-            _emit(args, "", {"error": label, "message": str(exc)})
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 2
+        label = "LIMIT-EXCEEDED" if isinstance(exc, LimitExceededError) else "BAD-INPUT"
+        code, text, payload = 2, f"error: {exc}", {"error": label, "message": str(exc)}
+    if args.json:
+        print(json.dumps(payload))
+    else:
+        # plain exit-2 errors go to stderr and leave stdout empty
+        print(text, file=sys.stderr if code == 2 else sys.stdout)
+    return code
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ class suffices.  For matrices whose row-column graph is a forest the two
 agree; comparing them is the main cross-check this module exists for.
 Both count their unpruned tree's nodes against ``gridding.SEARCH_BUDGET``
 before any work: k! at depth k of the insertion tree, |alphabet| ** k of words.
+The class sweep also admits the gridding search of its longest candidates.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from collections.abc import Iterator
 
 from .codec import Letter, alphabet, encode
 from .graphs import SignAssignment
-from .gridding import _admit, in_grid_class
+from .gridding import _admit, _gridding_runs, in_grid_class
 from .matrices import GridMatrix
 from .perms import Permutation
 
@@ -31,6 +32,7 @@ def _class_levels(matrix: GridMatrix, n_max: int) -> Iterator[list[Permutation]]
     candidate recovers its parent and position, so no candidate repeats.
     """
     _admit(n_max, ((k, 1) for k in range(1, n_max + 1)))
+    _admit(n_max, _gridding_runs(n_max, matrix))
     level = [Permutation(())]
     yield level
     for n in range(1, n_max + 1):
@@ -50,7 +52,8 @@ def enumerate_class(matrix: GridMatrix, n: int) -> set[Permutation]:
 
     Grows the class length by length through one-point insertions, so the
     gridding search sees at most n times the previous level.  Lengths past
-    9 are over the search budget and refused before any work.
+    9, and lengths whose gridding search is over the search budget, are
+    refused before any work.
     """
     *_, members = _class_levels(matrix, n)
     return set(members)
@@ -80,9 +83,12 @@ def enumerate_via_words(
 
     Words equal up to commuting letters encode the same gridded
     permutation, so only the lexicographic trace normal forms are encoded;
-    the image set is that of all |alphabet| ** n words.  Lengths whose word
-    tree is over the search budget are refused before any work.
+    the image set is that of all |alphabet| ** n words.  Signs that do not
+    match the matrix, and lengths whose word tree is over the search budget,
+    are refused before any work.
     """
+    if not signs.verify(matrix):
+        raise ValueError("sign assignment does not match the matrix")
     letters = sorted(alphabet(matrix))
     _admit(n, [(len(letters), n)])
     images = set()

@@ -205,6 +205,12 @@ def _division_sequences(n: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield (1,) + middle + (n + 1,)
 
 
+def _gridding_runs(n: int, matrix: GridMatrix) -> list[tuple[int, int]]:
+    """The runs of the length-n gridding search tree: one level of column
+    divisions, then one of row divisions under each."""
+    return [(comb(n + parts - 1, parts - 1), 1) for parts in (matrix.t, matrix.u)]
+
+
 def find_gridding(pi: Permutation, matrix: GridMatrix) -> Gridding | None:
     """The lexicographically least valid gridding of pi, or None.
 
@@ -215,7 +221,7 @@ def find_gridding(pi: Permutation, matrix: GridMatrix) -> Gridding | None:
     SEARCH_BUDGET nodes.
     """
     n = len(pi)
-    _admit(n, [(comb(n + parts - 1, parts - 1), 1) for parts in (matrix.t, matrix.u)])
+    _admit(n, _gridding_runs(n, matrix))
     for cols in _division_sequences(n, matrix.t):
         col_of = _bands(cols)
         for rows in _division_sequences(n, matrix.u):

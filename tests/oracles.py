@@ -2,11 +2,11 @@
 
 Each function recomputes an answer by the most direct search available so
 the library's single-pass or propagation-based routes have something to
-disagree with.  The two sweep references at the end are the exception:
-they run the library's gridding search and encoder over every permutation
-or every word, so the pruned sweeps in ``gridperms.enumeration`` have an
-exhaustive route to match.  Everything here is exponential; keep inputs
-small.
+disagree with.  The two sweep references, ``filter_class`` and
+``word_images``, are the exception: they run the library's gridding search
+and encoder over every permutation or every word, so the pruned sweeps in
+``gridperms.enumeration`` have an exhaustive route to match.  Everything
+here is exponential; keep inputs small.
 """
 from itertools import combinations, combinations_with_replacement, permutations, product
 
@@ -177,3 +177,27 @@ def word_images(matrix, signs, n):
     """Permutations encoded by all |alphabet| ** n words of length n."""
     letters = sorted(alphabet(matrix))
     return {encode(matrix, signs, word).perm for word in product(letters, repeat=n)}
+
+
+def trace_counts(matrix, n_max):
+    """The number of length-n traces over the nonzero cells, for n = 0..n_max:
+    words up to commuting letters (cells sharing no row and no column).
+
+    By Cartier-Foata it is the x ** n coefficient of 1 / sum_k (-1) ** k m_k
+    x ** k, where m_k counts the k-edge matchings of the row-column graph:
+    the sets of k nonzero cells in distinct columns and distinct rows."""
+    cells = matrix.nonzero_cells()
+    matchings = [
+        sum(
+            len({k for k, _ in subset}) == size and len({l for _, l in subset}) == size
+            for subset in combinations(cells, size)
+        )
+        for size in range(len(cells) + 1)
+    ]
+    counts = [1]
+    for n in range(1, n_max + 1):
+        counts.append(sum(
+            (-1) ** (size + 1) * matchings[size] * counts[n - size]
+            for size in range(1, min(n, len(cells)) + 1)
+        ))
+    return counts

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -254,6 +255,45 @@ def test_json_outputs(capsys, demo_file):
     payload = json.loads(out)
     assert payload["graph"] == "cell"
     assert ["3,1", "3,2"] in payload["edges"]
+
+
+def readme_cli_session():
+    """The README's CLI session as (command line, output lines) pairs, with
+    backslash continuations joined."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    steps = []
+    for line in block.splitlines():
+        if steps and steps[-1][0].endswith("\\"):
+            steps[-1][0] = steps[-1][0][:-1] + line
+        elif line.startswith("$ "):
+            steps.append([line[2:], []])
+        elif line:
+            steps[-1][1].append(line)
+    return steps
+
+
+def test_readme_cli_session(capsys, tmp_path, monkeypatch):
+    def lines(output):
+        return "".join(line + "\n" for line in output)
+
+    monkeypatch.chdir(tmp_path)
+    subcommands = set()
+    for command, output in readme_cli_session():
+        argv = shlex.split(command)
+        if argv[0] == "cat":
+            (tmp_path / argv[1]).write_text(lines(output))
+        elif argv[0] == "printf":
+            assert argv[1] == "--" and argv[3] == ">"
+            (tmp_path / argv[4]).write_text(argv[2].replace("\\n", "\n"))
+        else:
+            assert argv[0] == "gridperms"
+            main(argv[1:])
+            assert capsys.readouterr().out == lines(output), command
+            subcommands.add(argv[1])
+    assert subcommands == {"signs", "member", "grid-check", "encode", "decode",
+                           "enum", "count", "graph"}
 
 
 def test_usage_errors_exit_two(capsys, tmp_path, demo_file):

@@ -20,7 +20,7 @@ from gridperms import (
 )
 
 from .conftest import DEMO_MATRIX_TEXT
-from .oracles import filter_class, word_images
+from .oracles import filter_class, trace_counts, word_images
 
 ONE_ROW = GridMatrix.parse("+ +")
 
@@ -108,6 +108,9 @@ def test_word_sweep_refuses_at_once(monkeypatch, demo_matrix, demo_signs, n):
 
 M33_TEXT = ". . +\n. - +\n+ + ."
 M43_TEXT = "+ + + +\n+ + + +\n+ + + +"
+# 6x6 with a single nonzero cell: a tiny class whose length-9 gridding
+# search has 1 + 2002 + 2002 ** 2 = 4,010,007 nodes.
+M66_TEXT = "\n".join(["+ . . . . ."] + [". . . . . ."] * 5)
 SEARCHES = {
     "enumerate_class": enumerate_class,
     "counting_sequence": counting_sequence,
@@ -131,6 +134,8 @@ SEARCHES = {
     ("find_gridding", M33_TEXT, [57], [58]),
     ("find_gridding", M43_TEXT, [30], [31, 60]),
     ("find_gridding", "+", [10**6], []),
+    ("enumerate_class", M66_TEXT, [8], [9]),
+    ("counting_sequence", M66_TEXT, [8], [9]),
 ])
 def test_search_admission_edges(monkeypatch, search, text, admitted, refused):
     # Stubs make an admitted search stop at once and record any work done.
@@ -165,6 +170,39 @@ def test_one_letter_word_sweep_is_linear():
 def test_word_sweep_over_empty_alphabet_admits_any_length():
     zero = GridMatrix.parse(". .")
     assert enumerate_via_words(zero, find_signs(zero), 10**9) == set()
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_word_sweep_checks_signs_on_entry(n):
+    # no letters, so the sweep never reaches encode's own check at n > 0
+    with pytest.raises(ValueError, match="sign assignment does not match"):
+        enumerate_via_words(GridMatrix.parse(". ."), SignAssignment((1,), (1,)), n)
+
+
+@pytest.mark.parametrize("text, n_max, tail", [
+    (DEMO_MATRIX_TEXT, 7, [1093, 3280]),
+    ("+ +\n+ +", 7, [1912, 6528]),
+    (M33_TEXT, 6, [728, 2380]),
+    ("+ .\n+ -", 6, [144, 377]),
+    ("+", 6, [1, 1]),
+])
+def test_word_sweep_encodes_one_word_per_trace(monkeypatch, text, n_max, tail):
+    # Cartier-Foata: exactly one normal form per trace, cycles included.
+    m = GridMatrix.parse(text)
+    signs = find_signs(m)
+    traces = trace_counts(m, n_max)
+    assert traces[-2:] == tail
+    calls = []
+
+    def counting_encode(*args):
+        calls.append(None)
+        return encode(*args)
+
+    monkeypatch.setattr("gridperms.enumeration.encode", counting_encode)
+    for n in range(n_max + 1):
+        calls.clear()
+        enumerate_via_words(m, signs, n)
+        assert len(calls) == traces[n], n
 
 
 def test_word_images_length_one(demo_matrix, demo_signs):
