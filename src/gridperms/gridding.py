@@ -8,6 +8,15 @@ divisions make empty columns or rows.  The gridding is valid for a matrix
 when every cell's entries are increasing, decreasing, or absent as the
 matrix entry is 1, -1, or 0.
 
+``find_gridding`` tries every row division under each column division.
+``in_grid_class`` runs a threshold pass instead: with the columns fixed, a
+backward pass over the values grows each row's band downward from the start
+of the row above while its cells stay valid, keeping the lowest index seen
+in each increasing cell and the highest in each decreasing one.  That finds
+the least row divisions in O(n + t*u) steps per column division.  As it
+needs only existence, ``in_grid_class`` searches whichever of the matrix and
+its transpose has fewer column divisions.
+
 Every exhaustive search in the package first admits its unpruned tree: one
 with more than SEARCH_BUDGET nodes raises LimitExceededError before any work.
 """
@@ -230,6 +239,72 @@ def find_gridding(pi: Permutation, matrix: GridMatrix) -> Gridding | None:
     return None
 
 
+def _inverse(entries: tuple[int, ...]) -> tuple[int, ...]:
+    """The one-line entries of the inverse permutation: the index of each
+    value 1..n."""
+    inverse = [0] * len(entries)
+    for index, value in enumerate(entries, start=1):
+        inverse[value - 1] = index
+    return tuple(inverse)
+
+
+def _least_rows(
+    index_of: tuple[int, ...],
+    matrix_rows: tuple[tuple[int, ...], ...],
+    col_of: list[int],
+) -> tuple[int, ...] | None:
+    """The least row divisions that make a valid gridding with the given
+    columns, or None when there are none.  ``index_of`` is the inverse of
+    the permutation's entries, ``matrix_rows[l-1][k-1]`` is entry (k, l) and
+    ``col_of`` is the 0-based column of each index.
+
+    Rows are gridded from the top down: row l takes values downward from the
+    start of row l+1 while its cells stay valid, at O(1) per value.  As
+    shrinking a band never breaks a cell, its start is then the least from
+    which rows l..u can be gridded.  Every valid gridding starts each row at
+    or above these starts, and they weakly increase, so they are the least
+    row divisions when row 1 starts at 1.
+    """
+    n = len(index_of)
+    rows = [1] * len(matrix_rows) + [n + 1]
+    value = n
+    for l in range(len(matrix_rows) - 1, -1, -1):
+        signs = matrix_rows[l]
+        # Values arrive in descending order, so an increasing cell needs each
+        # new index below the lowest seen and a decreasing one above the
+        # highest: keys sign * index must fall.  A zero cell's key 0 never
+        # falls below its bound 0.
+        bound = [n + 1 if sign == 1 else 0 for sign in signs]
+        while value:
+            index = index_of[value - 1]
+            k = col_of[index - 1]
+            key = signs[k] * index
+            if key >= bound[k]:
+                break
+            bound[k] = key
+            value -= 1
+        else:
+            return tuple(rows)
+        rows[l] = value + 1
+    return None
+
+
 def in_grid_class(pi: Permutation, matrix: GridMatrix) -> bool:
-    """Whether pi has any valid gridding for the matrix."""
-    return find_gridding(pi, matrix) is not None
+    """Whether pi has any valid gridding for the matrix.
+
+    Admits the same search as find_gridding, then gives each column
+    division to _least_rows.  The griddings of pi for the matrix are those
+    of the inverse of pi for the transpose, with columns and rows swapped,
+    so when the matrix has fewer rows than columns the transposed problem,
+    which has fewer column divisions, is searched instead.
+    """
+    n = len(pi)
+    _admit(n, _gridding_runs(n, matrix))
+    if matrix.u < matrix.t:
+        index_of, matrix_rows = pi.entries, matrix.columns
+    else:
+        index_of, matrix_rows = _inverse(pi.entries), tuple(zip(*matrix.columns))
+    for cols in _division_sequences(n, len(matrix_rows[0])):
+        if _least_rows(index_of, matrix_rows, _bands(cols)) is not None:
+            return True
+    return False

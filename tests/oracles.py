@@ -5,12 +5,13 @@ the library's single-pass or propagation-based routes have something to
 disagree with.  The two sweep references, ``filter_class`` and
 ``word_images``, are the exception: they run the library's gridding search
 and encoder over every permutation or every word, so the pruned sweeps in
-``gridperms.enumeration`` have an exhaustive route to match.  Everything
-here is exponential; keep inputs small.
+``gridperms.enumeration`` have an exhaustive route to match.  The gridding
+search there is ``find_gridding``, not the ``in_grid_class`` search the
+class sweep runs.  Everything here is exponential; keep inputs small.
 """
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from gridperms import Permutation, alphabet, encode, in_grid_class
+from gridperms import Permutation, alphabet, encode, find_gridding
 
 
 def brute_contains(pi, sigma) -> bool:
@@ -169,7 +170,7 @@ def filter_class(matrix, n):
     return {
         pi
         for entries in permutations(range(1, n + 1))
-        if in_grid_class(pi := Permutation(entries), matrix)
+        if find_gridding(pi := Permutation(entries), matrix) is not None
     }
 
 

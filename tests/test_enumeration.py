@@ -16,6 +16,7 @@ from gridperms import (
     enumerate_via_words,
     find_gridding,
     find_signs,
+    in_grid_class,
     pattern_of,
 )
 
@@ -116,6 +117,7 @@ SEARCHES = {
     "counting_sequence": counting_sequence,
     "enumerate_via_words": lambda m, n: enumerate_via_words(m, find_signs(m), n),
     "find_gridding": lambda m, n: find_gridding(Permutation(tuple(range(n, 0, -1))), m),
+    "in_grid_class": lambda m, n: in_grid_class(Permutation(tuple(range(n, 0, -1))), m),
 }
 
 
@@ -134,6 +136,9 @@ SEARCHES = {
     ("find_gridding", M33_TEXT, [57], [58]),
     ("find_gridding", M43_TEXT, [30], [31, 60]),
     ("find_gridding", "+", [10**6], []),
+    ("in_grid_class", DEMO_MATRIX_TEXT, [180], [181]),
+    ("in_grid_class", M33_TEXT, [57], [58]),
+    ("in_grid_class", M43_TEXT, [30], [31, 60]),
     ("enumerate_class", M66_TEXT, [8], [9]),
     ("counting_sequence", M66_TEXT, [8], [9]),
 ])
@@ -145,6 +150,7 @@ def test_search_admission_edges(monkeypatch, search, text, admitted, refused):
         ("gridperms.enumeration.encode", None),
         ("gridperms.enumeration._extends_normal_form", False),
         ("gridperms.gridding._cells_valid", True),
+        ("gridperms.gridding._least_rows", ()),
     ]:
         monkeypatch.setattr(target, lambda *args, result=result: calls.append(args) or result)
     matrix = GridMatrix.parse(text)
@@ -157,6 +163,13 @@ def test_search_admission_edges(monkeypatch, search, text, admitted, refused):
             SEARCHES[search](matrix, n)
         assert time.perf_counter() - start < 0.25, n
     assert calls == []
+
+
+def test_class_sweep_at_eight_on_three_by_three():
+    m = GridMatrix.parse(M33_TEXT)
+    counts = counting_sequence(m, 8)
+    assert counts == (1, 2, 6, 22, 87, 347, 1352, 5090)
+    assert counts[-1] == len(enumerate_via_words(m, find_signs(m), 8))
 
 
 def test_one_letter_word_sweep_is_linear():

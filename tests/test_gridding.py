@@ -12,6 +12,7 @@ from gridperms import (
     in_grid_class,
     pattern_of,
 )
+from gridperms.gridding import _bands, _division_sequences, _least_rows
 
 from .oracles import brute_griddings
 from .strategies import matrices, permutations
@@ -155,6 +156,46 @@ def test_find_gridding_matches_brute_force(pi, m):
     else:
         assert (found.cols, found.rows) == expected[0]
         assert check_gridding(pi, m, found)
+
+
+def inverse(pi):
+    indices = range(1, len(pi) + 1)
+    return Permutation(tuple(sorted(indices, key=lambda i: pi.entries[i - 1])))
+
+
+def transpose(m):
+    return GridMatrix(tuple(zip(*m.columns)))
+
+
+@given(permutations(max_n=6), matrices(max_t=3, max_u=3))
+@settings(max_examples=200, deadline=None)
+def test_in_grid_class_matches_brute_force(pi, m):
+    # Shapes with fewer rows than columns search the transposed problem.
+    assert in_grid_class(pi, m) == bool(brute_griddings(pi.entries, m))
+
+
+@given(permutations(max_n=6), matrices(max_t=3, max_u=3))
+@settings(max_examples=200, deadline=None)
+def test_in_grid_class_transpose_identity(pi, m):
+    assert in_grid_class(pi, m) == in_grid_class(inverse(pi), transpose(m))
+
+
+@given(permutations(max_n=6), matrices(max_t=3, max_u=3))
+@settings(max_examples=200, deadline=None)
+def test_least_rows_give_the_least_gridding(pi, m):
+    # The first column division the threshold kernel accepts, with its rows,
+    # is the lexicographically least gridding.
+    index_of, matrix_rows = inverse(pi).entries, transpose(m).columns
+    first = next(
+        (
+            (cols, rows)
+            for cols in _division_sequences(len(pi), m.t)
+            if (rows := _least_rows(index_of, matrix_rows, _bands(cols))) is not None
+        ),
+        None,
+    )
+    expected = brute_griddings(pi.entries, m)
+    assert first == (expected[0] if expected else None)
 
 
 @st.composite
