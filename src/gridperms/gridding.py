@@ -14,8 +14,8 @@ backward pass over the values grows each row's band downward from the start
 of the row above while its cells stay valid, keeping the lowest index seen
 in each increasing cell and the highest in each decreasing one.  That finds
 the least row divisions in O(n + t*u) steps per column division.  As it
-needs only existence, ``in_grid_class`` searches whichever of the matrix and
-its transpose has fewer column divisions.
+needs only existence, ``in_grid_class`` runs the pass on the transposed
+problem: it tries each row division and finds the least column divisions.
 
 Every exhaustive search in the package first admits its unpruned tree: one
 with more than SEARCH_BUDGET nodes raises LimitExceededError before any work.
@@ -239,15 +239,6 @@ def find_gridding(pi: Permutation, matrix: GridMatrix) -> Gridding | None:
     return None
 
 
-def _inverse(entries: tuple[int, ...]) -> tuple[int, ...]:
-    """The one-line entries of the inverse permutation: the index of each
-    value 1..n."""
-    inverse = [0] * len(entries)
-    for index, value in enumerate(entries, start=1):
-        inverse[value - 1] = index
-    return tuple(inverse)
-
-
 def _least_rows(
     index_of: tuple[int, ...],
     matrix_rows: tuple[tuple[int, ...], ...],
@@ -292,19 +283,15 @@ def _least_rows(
 def in_grid_class(pi: Permutation, matrix: GridMatrix) -> bool:
     """Whether pi has any valid gridding for the matrix.
 
-    Admits the same search as find_gridding, then gives each column
-    division to _least_rows.  The griddings of pi for the matrix are those
-    of the inverse of pi for the transpose, with columns and rows swapped,
-    so when the matrix has fewer rows than columns the transposed problem,
-    which has fewer column divisions, is searched instead.
+    Admits the same search as find_gridding, then searches the transposed
+    problem: the griddings of pi for the matrix are those of the inverse of
+    pi for the transpose, with columns and rows swapped.  The inverse of the
+    inverse is pi itself and the transpose's rows are the matrix's columns,
+    so each row division of pi is given to _least_rows as it is.
     """
     n = len(pi)
     _admit(n, _gridding_runs(n, matrix))
-    if matrix.u < matrix.t:
-        index_of, matrix_rows = pi.entries, matrix.columns
-    else:
-        index_of, matrix_rows = _inverse(pi.entries), tuple(zip(*matrix.columns))
-    for cols in _division_sequences(n, len(matrix_rows[0])):
-        if _least_rows(index_of, matrix_rows, _bands(cols)) is not None:
+    for rows in _division_sequences(n, matrix.u):
+        if _least_rows(pi.entries, matrix.columns, _bands(rows)) is not None:
             return True
     return False

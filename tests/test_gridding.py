@@ -170,7 +170,6 @@ def transpose(m):
 @given(permutations(max_n=6), matrices(max_t=3, max_u=3))
 @settings(max_examples=200, deadline=None)
 def test_in_grid_class_matches_brute_force(pi, m):
-    # Shapes with fewer rows than columns search the transposed problem.
     assert in_grid_class(pi, m) == bool(brute_griddings(pi.entries, m))
 
 
