@@ -8,14 +8,14 @@ divisions make empty columns or rows.  The gridding is valid for a matrix
 when every cell's entries are increasing, decreasing, or absent as the
 matrix entry is 1, -1, or 0.
 
-``find_gridding`` tries every row division under each column division.
-``in_grid_class`` runs a threshold pass instead: with the columns fixed, a
-backward pass over the values grows each row's band downward from the start
-of the row above while its cells stay valid, keeping the lowest index seen
-in each increasing cell and the highest in each decreasing one.  That finds
-the least row divisions in O(n + t*u) steps per column division.  As it
-needs only existence, ``in_grid_class`` runs the pass on the transposed
-problem: it tries each row division and finds the least column divisions.
+One band walk, ``_band_start``, decides every cell for ``check_gridding``,
+``find_gridding`` and ``in_grid_class``: it walks a band's values down from
+its top while each cell's indices keep the order its entry asks for, which
+gives the least start the band can have.  A gridding is valid when each
+band reaches its division.  ``in_grid_class`` chains the walk into a
+threshold pass that finds the least row divisions for given columns in
+O(n + t*u) steps; as it needs only existence, it runs the pass on the
+transposed problem, trying each row division for the least columns.
 
 Every exhaustive search in the package first admits its unpruned tree: one
 with more than SEARCH_BUDGET nodes raises LimitExceededError before any work.
@@ -23,7 +23,7 @@ with more than SEARCH_BUDGET nodes raises LimitExceededError before any work.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
@@ -167,10 +167,11 @@ def check_gridding(pi: Permutation, matrix: GridMatrix, g: Gridding) -> bool:
     Valid means each cell (k, l) of the grid holds an increasing sequence if
     entry(k, l) = 1, a decreasing one if -1, and nothing if 0.  Malformed
     divisions (wrong shape or endpoint) raise ValueError; a well-formed
-    gridding that violates a cell condition just returns False.
+    gridding that violates a cell condition just returns False.  The check
+    runs on the transposed problem, whose index map is pi itself.
     """
     _require_shape(pi, matrix, g)
-    return _cells_valid(pi.entries, matrix.columns, _bands(g.cols), g.rows)
+    return _bands_valid(pi.entries, matrix.columns, _bands(g.rows), g.cols)
 
 
 def _bands(divisions: tuple[int, ...]) -> list[int]:
@@ -181,29 +182,44 @@ def _bands(divisions: tuple[int, ...]) -> list[int]:
     return bands
 
 
-def _cells_valid(
-    entries: tuple[int, ...],
-    columns: tuple[tuple[int, ...], ...],
-    col_of: list[int],
-    rows: tuple[int, ...],
+def _band_start(
+    index_of: Sequence[int], line: tuple[int, ...], band_of: list[int], top: int, floor: int
+) -> int:
+    """The least start, not below ``floor``, of a valid band of values that
+    ends before ``top``.  ``index_of[v-1]`` is the index of value v,
+    ``band_of`` the 0-based cross band of each index and ``line[k]`` the
+    matrix entry of the band's cell in cross band k.
+
+    As values fall, each cell's key must fall below the last one seen there,
+    from n + 1: the key is the index in a 1 cell, n + 1 - index in a -1 cell
+    and n + 1 in a 0 cell.  Shrinking a band never breaks a cell, so the
+    first value that fails bounds every valid start.
+    """
+    stop = len(index_of) + 1
+    last = [stop] * len(line)
+    value = top - 1
+    while value >= floor:
+        index = index_of[value - 1]
+        k = band_of[index - 1]
+        sign = line[k]
+        key = index if sign == 1 else stop + sign * index
+        if key >= last[k]:
+            break
+        last[k] = key
+        value -= 1
+    return value + 1
+
+
+def _bands_valid(
+    index_of: Sequence[int], lines: tuple[tuple[int, ...], ...], band_of: list[int],
+    divisions: tuple[int, ...],
 ) -> bool:
-    """The cell condition for every point, given the 0-based column of each
-    index and the row divisions; ``columns`` is ``GridMatrix.columns``."""
-    u = len(columns[0])
-    # One ascending-index pass: within a cell, indices arrive in order, so
-    # comparing against the previous value seen there settles monotonicity.
-    # Values are at least 1, so 0 marks a cell with nothing seen yet.
-    last_seen = [0] * (len(columns) * u)
-    for k, value in zip(col_of, entries):
-        l = bisect_right(rows, value) - 1
-        entry = columns[k][l]
-        if entry == 0:
+    """Whether each band of values starts at its division, ``lines[l]``
+    being band l's matrix line: the cell condition for every point."""
+    for l, line in enumerate(lines):
+        floor = divisions[l]
+        if _band_start(index_of, line, band_of, divisions[l + 1], floor) != floor:
             return False
-        cell = k * u + l
-        previous = last_seen[cell]
-        if previous and (value > previous) != (entry == 1):
-            return False
-        last_seen[cell] = value
     return True
 
 
@@ -231,53 +247,32 @@ def find_gridding(pi: Permutation, matrix: GridMatrix) -> Gridding | None:
     """
     n = len(pi)
     _admit(n, _gridding_runs(n, matrix))
+    index_of = [0] * n
+    for index, value in enumerate(pi.entries, 1):
+        index_of[value - 1] = index
+    matrix_rows = tuple(zip(*matrix.columns))
     for cols in _division_sequences(n, matrix.t):
         col_of = _bands(cols)
         for rows in _division_sequences(n, matrix.u):
-            if _cells_valid(pi.entries, matrix.columns, col_of, rows):
+            if _bands_valid(index_of, matrix_rows, col_of, rows):
                 return Gridding(cols, rows)
     return None
 
 
 def _least_rows(
-    index_of: tuple[int, ...],
-    matrix_rows: tuple[tuple[int, ...], ...],
-    col_of: list[int],
+    index_of: Sequence[int], matrix_rows: tuple[tuple[int, ...], ...], col_of: list[int]
 ) -> tuple[int, ...] | None:
     """The least row divisions that make a valid gridding with the given
-    columns, or None when there are none.  ``index_of`` is the inverse of
-    the permutation's entries, ``matrix_rows[l-1][k-1]`` is entry (k, l) and
-    ``col_of`` is the 0-based column of each index.
-
-    Rows are gridded from the top down: row l takes values downward from the
-    start of row l+1 while its cells stay valid, at O(1) per value.  As
-    shrinking a band never breaks a cell, its start is then the least from
-    which rows l..u can be gridded.  Every valid gridding starts each row at
-    or above these starts, and they weakly increase, so they are the least
-    row divisions when row 1 starts at 1.
+    columns, or None; ``matrix_rows[l-1][k-1]`` is entry (k, l) and the rest
+    is as for _band_start.  Row l walks down from the start of row l+1, so
+    its start is the least from which rows l..u can be gridded.  Every valid
+    gridding starts each row at or above these weakly increasing starts, so
+    they are the least row divisions when row 1 starts at 1.
     """
-    n = len(index_of)
-    rows = [1] * len(matrix_rows) + [n + 1]
-    value = n
+    rows = [1] * len(matrix_rows) + [len(index_of) + 1]
     for l in range(len(matrix_rows) - 1, -1, -1):
-        signs = matrix_rows[l]
-        # Values arrive in descending order, so an increasing cell needs each
-        # new index below the lowest seen and a decreasing one above the
-        # highest: keys sign * index must fall.  A zero cell's key 0 never
-        # falls below its bound 0.
-        bound = [n + 1 if sign == 1 else 0 for sign in signs]
-        while value:
-            index = index_of[value - 1]
-            k = col_of[index - 1]
-            key = signs[k] * index
-            if key >= bound[k]:
-                break
-            bound[k] = key
-            value -= 1
-        else:
-            return tuple(rows)
-        rows[l] = value + 1
-    return None
+        rows[l] = _band_start(index_of, matrix_rows[l], col_of, rows[l + 1], 1)
+    return tuple(rows) if rows[0] == 1 else None
 
 
 def in_grid_class(pi: Permutation, matrix: GridMatrix) -> bool:

@@ -52,10 +52,13 @@ class Permutation:
         Accepts whitespace- or comma-separated positive integers
         (``"1 3 6 8 5 4 7 9 2"``), the compact digit form (``"136854792"``,
         only for length <= 9), and ``"empty"`` for the empty permutation.
+        An empty comma-separated field (``"2,,1"``, ``",1"``) is an error.
         """
         text = text.strip()
         if text in ("", "empty"):
             return cls(())
+        if any(not field.strip() for field in text.split(",")):
+            raise ValueError(f"cannot parse permutation from {text!r}")
         tokens = text.replace(",", " ").split()
         if len(tokens) == 1 and len(tokens[0]) > 1:
             token = tokens[0]

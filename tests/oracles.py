@@ -58,23 +58,28 @@ def _window_fits(pi, entry, i_lo, i_hi, v_lo, v_hi) -> bool:
     return values == sorted(values, reverse=entry == -1)
 
 
+def valid_gridding(pi, matrix, cols, rows) -> bool:
+    """Whether (cols, rows) grids pi validly, by an explicit window check
+    per cell: polynomial, so usable at any length."""
+    p = tuple(pi)
+    return all(
+        _window_fits(p, matrix.entry(k, l), cols[k - 1], cols[k], rows[l - 1], rows[l])
+        for k in range(1, matrix.t + 1)
+        for l in range(1, matrix.u + 1)
+    )
+
+
 def brute_griddings(pi, matrix):
     """All valid (cols, rows) pairs, by explicit per-cell window checks,
     in lexicographic order."""
     p = tuple(pi)
     n = len(p)
-    found = []
-    for cols in division_sequences(n, matrix.t):
-        for rows in division_sequences(n, matrix.u):
-            if all(
-                _window_fits(
-                    p, matrix.entry(k, l), cols[k - 1], cols[k], rows[l - 1], rows[l]
-                )
-                for k in range(1, matrix.t + 1)
-                for l in range(1, matrix.u + 1)
-            ):
-                found.append((cols, rows))
-    return found
+    return [
+        (cols, rows)
+        for cols in division_sequences(n, matrix.t)
+        for rows in division_sequences(n, matrix.u)
+        if valid_gridding(p, matrix, cols, rows)
+    ]
 
 
 def least_index_replay(pi, matrix, cols, rows, col_signs, row_signs):

@@ -149,7 +149,7 @@ def test_search_admission_edges(monkeypatch, search, text, admitted, refused):
         ("gridperms.enumeration.in_grid_class", False),
         ("gridperms.enumeration.encode", None),
         ("gridperms.enumeration._extends_normal_form", False),
-        ("gridperms.gridding._cells_valid", True),
+        ("gridperms.gridding._bands_valid", True),
         ("gridperms.gridding._least_rows", ()),
     ]:
         monkeypatch.setattr(target, lambda *args, result=result: calls.append(args) or result)

@@ -7,14 +7,16 @@ from gridperms import (
     Gridding,
     GridMatrix,
     Permutation,
+    SignAssignment,
     check_gridding,
+    encode,
     find_gridding,
     in_grid_class,
     pattern_of,
 )
 from gridperms.gridding import _bands, _division_sequences, _least_rows
 
-from .oracles import brute_griddings
+from .oracles import brute_griddings, valid_gridding
 from .strategies import matrices, permutations
 
 
@@ -146,7 +148,7 @@ def test_single_increasing_cell_class_is_identities():
     assert not in_grid_class(Permutation.parse("132"), m)
 
 
-@given(permutations(max_n=5), matrices(max_t=2, max_u=2))
+@given(permutations(max_n=6), matrices(max_t=3, max_u=3))
 @settings(max_examples=200, deadline=None)
 def test_find_gridding_matches_brute_force(pi, m):
     found = find_gridding(pi, m)
@@ -217,6 +219,49 @@ def test_check_gridding_matches_brute_force(pi, m, data):
     valid = brute_griddings(pi.entries, m)
     cols, rows = data.draw(division_pairs(len(pi), m.t, m.u, valid))
     assert check_gridding(pi, m, Gridding(cols, rows)) == ((cols, rows) in valid)
+
+
+@st.composite
+def near_misses(draw, max_len=40):
+    """A permutation, a sign-consistent matrix up to 3x3 and a gridding:
+    an encoded word's own gridding, that gridding with one interior
+    division moved by one, or the permutation with two values swapped."""
+    t, u = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    col_signs = tuple(draw(st.lists(st.sampled_from([1, -1]), min_size=t, max_size=t)))
+    row_signs = tuple(draw(st.lists(st.sampled_from([1, -1]), min_size=u, max_size=u)))
+    m = GridMatrix(tuple(
+        tuple(draw(st.sampled_from([0, c * r])) for r in row_signs) for c in col_signs
+    ))
+    letters = m.nonzero_cells()
+    n = draw(st.integers(0, max_len)) if letters else 0
+    word = draw(st.lists(st.sampled_from(letters), min_size=n, max_size=n)) if n else ()
+    gp = encode(m, SignAssignment(col_signs, row_signs), word)
+    entries, cols, rows = list(gp.perm.entries), gp.gridding.cols, gp.gridding.rows
+    moves = [
+        (axis, i, d[i] + step)
+        for axis, d in enumerate((cols, rows))
+        for i in range(1, len(d) - 1)
+        for step in (-1, 1)
+        if d[i - 1] <= d[i] + step <= d[i + 1]
+    ]
+    kind = draw(st.sampled_from(["encoded", "moved", "swapped"]))
+    if kind == "moved" and moves:
+        axis, i, division = draw(st.sampled_from(moves))
+        d = list((cols, rows)[axis])
+        d[i] = division
+        cols, rows = (tuple(d), rows) if axis == 0 else (cols, tuple(d))
+    elif kind == "swapped" and len(entries) >= 2:
+        a, b = draw(st.lists(st.integers(0, len(entries) - 1), min_size=2,
+                             max_size=2, unique=True))
+        entries[a], entries[b] = entries[b], entries[a]
+    return Permutation(tuple(entries)), m, Gridding(cols, rows)
+
+
+@given(near_misses())
+@settings(max_examples=300, deadline=None)
+def test_check_gridding_matches_cell_windows_at_codec_lengths(case):
+    pi, m, g = case
+    assert check_gridding(pi, m, g) == valid_gridding(pi, m, g.cols, g.rows)
 
 
 @given(permutations(max_n=5, min_n=1), matrices(max_t=2, max_u=2))

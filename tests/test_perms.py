@@ -42,6 +42,7 @@ def test_parse_separated_forms():
     assert spaced == Permutation.parse("136854792")
     assert Permutation.parse("10,2,3,4,5,6,7,8,9,1").entries[0] == 10
     assert Permutation.parse("2, 1").entries == (2, 1)
+    assert Permutation.parse("1 2,3").entries == (1, 2, 3)
 
 
 def test_parse_empty():
@@ -50,7 +51,7 @@ def test_parse_empty():
 
 
 def test_parse_rejects_garbage():
-    for text in ["1 2 x", "11", "10", "1.5 2", "0 1"]:
+    for text in ["1 2 x", "11", "10", "1.5 2", "0 1", "2,,1", ",1,2", ","]:
         with pytest.raises(ValueError):
             Permutation.parse(text)
 
