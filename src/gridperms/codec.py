@@ -87,13 +87,26 @@ def encode(matrix: GridMatrix, signs: SignAssignment, word: Word) -> GriddedPerm
     for j, (k, l) in enumerate(word):
         by_column[k - 1].append(j)
         by_row[l - 1].append(j)
+    perm, cols, rows = _spell(by_column, by_row, signs, len(word))
+    # GriddedPermutation re-validates the cell conditions on construction.
+    return GriddedPermutation(perm, matrix, Gridding(cols, rows))
+
+
+def _spell(
+    by_column: list[list[int]], by_row: list[list[int]], signs: SignAssignment, n: int
+) -> tuple[Permutation, tuple[int, ...], tuple[int, ...]]:
+    """The permutation and the column and row divisions that a length-n
+    word spells, given each column's and each row's letter positions in
+    word order.  Nothing is checked: ``encode`` validates first, and the
+    word sweep checks the cell conditions of every image it keeps.
+    """
     # Letter positions left to right (index order) and bottom to top
     # (value order); entry i is the value of the i-th position by index.
     by_index = [j for band, sign in zip(by_column, signs.col_signs)
                 for j in _oriented(band, sign)]
     by_value = [j for band, sign in zip(by_row, signs.row_signs)
                 for j in _oriented(band, sign)]
-    value_of = [0] * len(word)
+    value_of = [0] * n
     for value, j in enumerate(by_value, start=1):
         value_of[j] = value
     entries = [value_of[j] for j in by_index]
@@ -103,10 +116,7 @@ def encode(matrix: GridMatrix, signs: SignAssignment, word: Word) -> GriddedPerm
         cols.append(cols[-1] + len(positions))
     for positions in by_row:
         rows.append(rows[-1] + len(positions))
-    # GriddedPermutation re-validates the cell conditions on construction.
-    return GriddedPermutation(
-        Permutation(entries), matrix, Gridding(tuple(cols), tuple(rows))
-    )
+    return Permutation(entries), tuple(cols), tuple(rows)
 
 
 def subword_leq(v: Word, w: Word) -> bool:

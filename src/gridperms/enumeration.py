@@ -3,11 +3,14 @@
 Two independent pipelines generate class members.  ``enumerate_class``
 walks the insertion tree: grid classes are closed under deletion, so every
 length-n member is a length-(n-1) member with the value n inserted, and
-only those one-point extensions go through the gridding search.
+only those one-point extensions whose other deletions are all members go
+through the gridding search, so it runs only on members and basis elements.
 ``enumerate_via_words`` encodes the lexicographic normal forms of traces:
 letters whose cells share neither a column nor a row commute without
 changing the encoded gridded permutation, so one word per commutation
-class suffices.  For matrices whose row-column graph is a forest the two
+class suffices.  It spells each image on the shared prefix of its words
+through the core that ``encode`` uses and checks it with the cell rule of
+``check_gridding``.  For matrices whose row-column graph is a forest the two
 agree; comparing them is the main cross-check this module exists for.
 Both count their unpruned tree's nodes against ``gridding.SEARCH_BUDGET``
 before any work: k! at depth k of the insertion tree, |alphabet| ** k of words.
@@ -17,9 +20,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .codec import Letter, alphabet, encode
+from .codec import Letter, _spell, alphabet
 from .graphs import SignAssignment
-from .gridding import _admit, _gridding_runs, in_grid_class
+from .gridding import _admit, _bands, _bands_valid, _gridding_runs, in_grid_class
 from .matrices import GridMatrix
 from .perms import Permutation
 
@@ -28,21 +31,32 @@ def _class_levels(matrix: GridMatrix, n_max: int) -> Iterator[list[Permutation]]
     """The members of lengths 0, 1, ..., n_max, one list per length.
 
     Level n inserts the value n at every position of every level-(n-1)
-    member and keeps the candidates in the class.  Deleting n from a
-    candidate recovers its parent and position, so no candidate repeats.
+    member.  Deleting n from a candidate recovers its parent and position,
+    so no candidate repeats.  The class is closed under deletion, so a
+    candidate with a one-point deletion outside level n-1 is no member; the
+    gridding search runs only on candidates whose deletions are all members,
+    which are the members and the basis elements of length n.
     """
     _admit(n_max, ((k, 1) for k in range(1, n_max + 1)))
     _admit(n_max, _gridding_runs(n_max, matrix))
     level = [Permutation(())]
     yield level
     for n in range(1, n_max + 1):
+        members = {parent.entries for parent in level}
         children = []
         for parent in level:
             entries = parent.entries
             for j in range(n):
-                child = Permutation(entries[:j] + (n,) + entries[j:])
-                if in_grid_class(child, matrix):
-                    children.append(child)
+                child = entries[:j] + (n,) + entries[j:]
+                # Deleting n gives the parent; deleting v < n leaves the
+                # values above v to close the gap.
+                if all(
+                    tuple([w - (w > v) for w in child if w != v]) in members
+                    for v in range(1, n)
+                ):
+                    candidate = Permutation(child)
+                    if in_grid_class(candidate, matrix):
+                        children.append(candidate)
         level = children
         yield level
 
@@ -93,18 +107,31 @@ def enumerate_via_words(
     _admit(n, [(len(letters), n)])
     images = set()
     # Depth-first with an explicit stack, so long words cannot exhaust the
-    # recursion limit; entries (depth, letter) extend one shared prefix.
+    # recursion limit; entries (depth, letter) extend one shared prefix,
+    # whose letter positions by_column and by_row keep for _spell.
     word: list[Letter] = []
+    by_column: list[list[int]] = [[] for _ in range(matrix.t)]
+    by_row: list[list[int]] = [[] for _ in range(matrix.u)]
     stack: list[tuple[int, Letter]] = []
     while True:
         if len(word) == n:
-            images.add(encode(matrix, signs, tuple(word)).perm)
+            perm, cols, rows = _spell(by_column, by_row, signs, n)
+            # the cell rule check_gridding runs, so every image is certified
+            if not _bands_valid(perm.entries, matrix.columns, _bands(rows), cols):
+                raise ValueError(f"{perm} has no valid gridding {cols} x {rows}")
+            images.add(perm)
         else:
             stack += [(len(word), x) for x in letters if _extends_normal_form(word, x)]
         if not stack:
             return images
         depth, letter = stack.pop()
-        del word[depth:]
+        while len(word) > depth:
+            k, l = word.pop()
+            by_column[k - 1].pop()
+            by_row[l - 1].pop()
+        k, l = letter
+        by_column[k - 1].append(depth)
+        by_row[l - 1].append(depth)
         word.append(letter)
 
 

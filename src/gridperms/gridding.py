@@ -14,8 +14,9 @@ its top while each cell's indices keep the order its entry asks for, which
 gives the least start the band can have.  A gridding is valid when each
 band reaches its division.  ``in_grid_class`` chains the walk into a
 threshold pass that finds the least row divisions for given columns in
-O(n + t*u) steps; as it needs only existence, it runs the pass on the
-transposed problem, trying each row division for the least columns.
+O(n + t*u) steps; as it needs only existence, it tries each division of
+the axis with fewer divisions, columns when t < u and rows otherwise, and
+finds the least divisions of the other.
 
 Every exhaustive search in the package first admits its unpruned tree: one
 with more than SEARCH_BUDGET nodes raises LimitExceededError before any work.
@@ -278,15 +279,25 @@ def _least_rows(
 def in_grid_class(pi: Permutation, matrix: GridMatrix) -> bool:
     """Whether pi has any valid gridding for the matrix.
 
-    Admits the same search as find_gridding, then searches the transposed
-    problem: the griddings of pi for the matrix are those of the inverse of
-    pi for the transpose, with columns and rows swapped.  The inverse of the
-    inverse is pi itself and the transpose's rows are the matrix's columns,
-    so each row division of pi is given to _least_rows as it is.
+    Admits the same search as find_gridding, then gives each division of
+    the axis with fewer divisions to _least_rows.  With fewer columns than
+    rows that is each column division, as in find_gridding.  Otherwise it
+    searches the transposed problem: the griddings of pi for the matrix are
+    those of the inverse of pi for the transpose, with columns and rows
+    swapped.  The inverse of the inverse is pi itself and the transpose's
+    rows are the matrix's columns, so each row division of pi is given to
+    _least_rows as it is.
     """
     n = len(pi)
     _admit(n, _gridding_runs(n, matrix))
-    for rows in _division_sequences(n, matrix.u):
-        if _least_rows(pi.entries, matrix.columns, _bands(rows)) is not None:
+    if matrix.t < matrix.u:
+        index_of = [0] * n
+        for index, value in enumerate(pi.entries, 1):
+            index_of[value - 1] = index
+        lines, parts = tuple(zip(*matrix.columns)), matrix.t
+    else:
+        index_of, lines, parts = pi.entries, matrix.columns, matrix.u
+    for divisions in _division_sequences(n, parts):
+        if _least_rows(index_of, lines, _bands(divisions)) is not None:
             return True
     return False

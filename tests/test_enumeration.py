@@ -5,6 +5,8 @@ from itertools import product
 import pytest
 
 from gridperms import (
+    GriddedPermutation,
+    Gridding,
     GridMatrix,
     LimitExceededError,
     Permutation,
@@ -19,6 +21,7 @@ from gridperms import (
     in_grid_class,
     pattern_of,
 )
+from gridperms.codec import _spell
 
 from .conftest import DEMO_MATRIX_TEXT
 from .oracles import filter_class, trace_counts, word_images
@@ -99,7 +102,7 @@ def test_word_sweep_budget(monkeypatch, demo_matrix, demo_signs):
 @pytest.mark.parametrize("n", [11, 10**8, 10**100])
 def test_word_sweep_refuses_at_once(monkeypatch, demo_matrix, demo_signs, n):
     calls = []
-    monkeypatch.setattr("gridperms.enumeration.encode", lambda *args: calls.append(args))
+    monkeypatch.setattr("gridperms.enumeration._spell", lambda *args: calls.append(args))
     start = time.perf_counter()
     with pytest.raises(LimitExceededError):
         enumerate_via_words(demo_matrix, demo_signs, n)
@@ -147,7 +150,7 @@ def test_search_admission_edges(monkeypatch, search, text, admitted, refused):
     calls = []
     for target, result in [
         ("gridperms.enumeration.in_grid_class", False),
-        ("gridperms.enumeration.encode", None),
+        ("gridperms.enumeration._spell", None),
         ("gridperms.enumeration._extends_normal_form", False),
         ("gridperms.gridding._bands_valid", True),
         ("gridperms.gridding._least_rows", ()),
@@ -207,11 +210,11 @@ def test_word_sweep_encodes_one_word_per_trace(monkeypatch, text, n_max, tail):
     assert traces[-2:] == tail
     calls = []
 
-    def counting_encode(*args):
+    def counting_spell(*args):
         calls.append(None)
-        return encode(*args)
+        return _spell(*args)
 
-    monkeypatch.setattr("gridperms.enumeration.encode", counting_encode)
+    monkeypatch.setattr("gridperms.enumeration._spell", counting_spell)
     for n in range(n_max + 1):
         calls.clear()
         enumerate_via_words(m, signs, n)
@@ -265,6 +268,35 @@ def test_members_shrink_into_the_class(demo_matrix):
             assert deletions <= smaller
 
 
+# Published bases (Atkinson, "Restricted permutations", 1999, for the
+# first three; Av(2143, 3412) is the skew-merged class, Stankova 1994).
+@pytest.mark.parametrize("text, basis", [
+    ("+ +", {"321", "2143", "3142"}),
+    ("+\n+", {"321", "2143", "2413"}),
+    ("+ -", {"213", "312"}),
+    (DEMO_MATRIX_TEXT, {"2143", "3142", "4132", "4312"}),
+    ("- +\n+ -", {"2143", "3412"}),
+])
+def test_class_sweep_searches_only_members_and_basis(monkeypatch, text, basis):
+    # A candidate reaches the gridding search only when all its one-point
+    # deletions are members, so the rejected ones are the basis elements.
+    m = GridMatrix.parse(text)
+    searched = []
+
+    def recording_in_grid_class(pi, matrix):
+        searched.append((pi, in_grid_class(pi, matrix)))
+        return searched[-1][1]
+
+    monkeypatch.setattr("gridperms.enumeration.in_grid_class", recording_in_grid_class)
+    counts = counting_sequence(m, 7)
+    rejected = [pi for pi, member in searched if not member]
+    for n in range(1, 8):
+        at_n = [pi for pi, _ in searched if len(pi) == n]
+        assert len(at_n) == counts[n - 1] + sum(len(pi) == n for pi in rejected), n
+    assert len(rejected) == len(basis)
+    assert set(rejected) == perms(*basis)
+
+
 def test_class_matches_factorial_filter_on_all_2x2():
     for entries in product((0, 1, -1), repeat=4):
         m = GridMatrix((entries[:2], entries[2:]))
@@ -294,15 +326,55 @@ def test_word_sweep_encodes_each_gridded_image_once(monkeypatch, text):
     signs = find_signs(m)
     encoded = []
 
-    def recording_encode(*args):
-        encoded.append(encode(*args))
-        return encoded[-1]
+    def recording_spell(*args):
+        perm, cols, rows = spelled = _spell(*args)
+        encoded.append(GriddedPermutation(perm, m, Gridding(cols, rows)))
+        return spelled
 
-    monkeypatch.setattr("gridperms.enumeration.encode", recording_encode)
+    monkeypatch.setattr("gridperms.enumeration._spell", recording_spell)
     enumerate_via_words(m, signs, 5)
     every_word = product(sorted(alphabet(m)), repeat=5)
     assert len(encoded) == len(set(encoded))
     assert set(encoded) == {encode(m, signs, word) for word in every_word}
+
+
+@pytest.mark.parametrize(
+    "text", [DEMO_MATRIX_TEXT, "+ .\n+ -", M33_TEXT, "+ +\n+ +", "+"]
+)
+def test_word_sweep_spells_what_encode_spells(monkeypatch, text):
+    # Every normal form up to length 7, cycles included: the word is read
+    # back from the position lists the sweep hands to its core.
+    m = GridMatrix.parse(text)
+    signs = find_signs(m)
+    spelled = []
+
+    def checking_spell(by_column, by_row, signs, n):
+        word = [[0, 0] for _ in range(n)]
+        for axis, bands in enumerate((by_column, by_row)):
+            for band, positions in enumerate(bands, start=1):
+                for j in positions:
+                    word[j][axis] = band
+        gp = encode(m, signs, tuple(map(tuple, word)))
+        result = _spell(by_column, by_row, signs, n)
+        assert result == (gp.perm, gp.gridding.cols, gp.gridding.rows), word
+        spelled.append(None)
+        return result
+
+    monkeypatch.setattr("gridperms.enumeration._spell", checking_spell)
+    for n in range(8):
+        enumerate_via_words(m, signs, n)
+    assert len(spelled) == sum(trace_counts(m, 7))
+
+
+def test_word_sweep_certifies_every_image(monkeypatch):
+    # A core that spelled 21 with one + cell would break the cell rule.
+    monkeypatch.setattr(
+        "gridperms.enumeration._spell",
+        lambda *args: (Permutation((2, 1)), (1, 3), (1, 3)),
+    )
+    one_cell = GridMatrix.parse("+")
+    with pytest.raises(ValueError, match="no valid gridding"):
+        enumerate_via_words(one_cell, SignAssignment((1,), (1,)), 2)
 
 
 def test_word_sweep_does_not_recurse():

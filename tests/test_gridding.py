@@ -181,6 +181,18 @@ def test_in_grid_class_transpose_identity(pi, m):
     assert in_grid_class(pi, m) == in_grid_class(inverse(pi), transpose(m))
 
 
+@given(
+    permutations(max_n=7),
+    st.one_of(matrices(max_t=1, max_u=6), matrices(max_t=6, max_u=1)).filter(
+        lambda m: m.t != m.u
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_in_grid_class_on_either_axis_agrees_with_find_gridding(pi, m):
+    # One column searches its column divisions, one row its row divisions.
+    assert in_grid_class(pi, m) == (find_gridding(pi, m) is not None)
+
+
 @given(permutations(max_n=6), matrices(max_t=3, max_u=3))
 @settings(max_examples=200, deadline=None)
 def test_least_rows_give_the_least_gridding(pi, m):
