@@ -87,36 +87,37 @@ def encode(matrix: GridMatrix, signs: SignAssignment, word: Word) -> GriddedPerm
     for j, (k, l) in enumerate(word):
         by_column[k - 1].append(j)
         by_row[l - 1].append(j)
-    perm, cols, rows = _spell(by_column, by_row, signs, len(word))
+    entries, cols, rows = _spell(by_column, by_row, signs, len(word))
     # GriddedPermutation re-validates the cell conditions on construction.
-    return GriddedPermutation(perm, matrix, Gridding(cols, rows))
+    return GriddedPermutation(Permutation(entries), matrix, Gridding(cols, rows))
 
 
 def _spell(
     by_column: list[list[int]], by_row: list[list[int]], signs: SignAssignment, n: int
-) -> tuple[Permutation, tuple[int, ...], tuple[int, ...]]:
-    """The permutation and the column and row divisions that a length-n
-    word spells, given each column's and each row's letter positions in
-    word order.  Nothing is checked: ``encode`` validates first, and the
-    word sweep checks the cell conditions of every image it keeps.
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The entries of the permutation and the column and row divisions that
+    a length-n word spells, given each column's and each row's letter
+    positions in word order.  Nothing is checked: ``encode`` validates
+    first, and the word sweep checks the cell conditions of every image it
+    keeps.
     """
-    # Letter positions left to right (index order) and bottom to top
-    # (value order); entry i is the value of the i-th position by index.
-    by_index = [j for band, sign in zip(by_column, signs.col_signs)
-                for j in _oriented(band, sign)]
-    by_value = [j for band, sign in zip(by_row, signs.row_signs)
-                for j in _oriented(band, sign)]
+    # Rows bottom to top give the letters their values; columns left to
+    # right give the index order, so entry i is the value of the i-th.
     value_of = [0] * n
-    for value, j in enumerate(by_value, start=1):
-        value_of[j] = value
-    entries = [value_of[j] for j in by_index]
+    value = 0
+    for band, sign in zip(by_row, signs.row_signs):
+        for j in _oriented(band, sign):
+            value += 1
+            value_of[j] = value
+    entries = tuple([value_of[j] for band, sign in zip(by_column, signs.col_signs)
+                     for j in _oriented(band, sign)])
 
     cols, rows = [1], [1]
     for positions in by_column:
         cols.append(cols[-1] + len(positions))
     for positions in by_row:
         rows.append(rows[-1] + len(positions))
-    return Permutation(entries), tuple(cols), tuple(rows)
+    return entries, tuple(cols), tuple(rows)
 
 
 def subword_leq(v: Word, w: Word) -> bool:

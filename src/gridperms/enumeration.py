@@ -5,6 +5,8 @@ walks the insertion tree: grid classes are closed under deletion, so every
 length-n member is a length-(n-1) member with the value n inserted, and
 only those one-point extensions whose other deletions are all members go
 through the gridding search, so it runs only on members and basis elements.
+Each member carries the division that admitted it, a child tries its
+parent's first, and the search after a miss stays exhaustive.
 ``enumerate_via_words`` encodes the lexicographic normal forms of traces:
 letters whose cells share neither a column nor a row commute without
 changing the encoded gridded permutation, so one word per commutation
@@ -22,7 +24,7 @@ from collections.abc import Iterator
 
 from .codec import Letter, _spell, alphabet
 from .graphs import SignAssignment
-from .gridding import _admit, _bands, _bands_valid, _gridding_runs, in_grid_class
+from .gridding import _admit, _bands, _bands_valid, _gridding_runs, _witness
 from .matrices import GridMatrix
 from .perms import Permutation
 
@@ -35,29 +37,48 @@ def _class_levels(matrix: GridMatrix, n_max: int) -> Iterator[list[Permutation]]
     so no candidate repeats.  The class is closed under deletion, so a
     candidate with a one-point deletion outside level n-1 is no member; the
     gridding search runs only on candidates whose deletions are all members,
-    which are the members and the basis elements of length n.
+    which are the members and the basis elements of length n.  Each member
+    keeps the division that admitted it, and a child tries its parent's,
+    moved to the insertion, before the exhaustive search.
     """
     _admit(n_max, ((k, 1) for k in range(1, n_max + 1)))
     _admit(n_max, _gridding_runs(n_max, matrix))
+    # _witness searches column divisions when t < u and row divisions
+    # otherwise; the empty permutation's divisions are all 1.
+    on_columns = matrix.t < matrix.u
     level = [Permutation(())]
+    divisions = [(1,) * (min(matrix.t, matrix.u) + 1)]
     yield level
     for n in range(1, n_max + 1):
         members = {parent.entries for parent in level}
-        children = []
-        for parent in level:
+        top = (n - 1,)
+        children, found = [], []
+        for parent, division in zip(level, divisions):
             entries = parent.entries
+            # Deleting v from the parent, which holds v at position p; the
+            # values above v close the gap.
+            deletions = [
+                (p, tuple([w - (w > v) for w in entries if w != v]))
+                for p, v in enumerate(entries)
+            ]
             for j in range(n):
-                child = entries[:j] + (n,) + entries[j:]
-                # Deleting n gives the parent; deleting v < n leaves the
-                # values above v to close the gap.
+                # Deleting n gives the parent; deleting v < n gives the
+                # parent's deletion of v with n - 1 where n sat.
                 if all(
-                    tuple([w - (w > v) for w in child if w != v]) in members
-                    for v in range(1, n)
+                    d[:j - (p < j)] + top + d[j - (p < j):] in members
+                    for p, d in deletions
                 ):
-                    candidate = Permutation(child)
-                    if in_grid_class(candidate, matrix):
+                    candidate = Permutation(entries[:j] + (n,) + entries[j:])
+                    # n joins the top row, or the column holding index j + 1
+                    if on_columns:
+                        first = tuple(d + (d > j + 1) for d in division[:-1]) + (n + 1,)
+                    else:
+                        first = division[:-1] + (n + 1,)
+                    witness = _witness(candidate, matrix, first)
+                    if witness is not None:
                         children.append(candidate)
-        level = children
+                        found.append(witness)
+        level, divisions = children, found
         yield level
 
 
@@ -105,7 +126,8 @@ def enumerate_via_words(
         raise ValueError("sign assignment does not match the matrix")
     letters = sorted(alphabet(matrix))
     _admit(n, [(len(letters), n)])
-    images = set()
+    images: set[tuple[int, ...]] = set()
+    band_of: dict[tuple[int, ...], list[int]] = {}
     # Depth-first with an explicit stack, so long words cannot exhaust the
     # recursion limit; entries (depth, letter) extend one shared prefix,
     # whose letter positions by_column and by_row keep for _spell.
@@ -115,15 +137,17 @@ def enumerate_via_words(
     stack: list[tuple[int, Letter]] = []
     while True:
         if len(word) == n:
-            perm, cols, rows = _spell(by_column, by_row, signs, n)
+            entries, cols, rows = _spell(by_column, by_row, signs, n)
+            if rows not in band_of:
+                band_of[rows] = _bands(rows)
             # the cell rule check_gridding runs, so every image is certified
-            if not _bands_valid(perm.entries, matrix.columns, _bands(rows), cols):
-                raise ValueError(f"{perm} has no valid gridding {cols} x {rows}")
-            images.add(perm)
+            if not _bands_valid(entries, matrix.columns, band_of[rows], cols):
+                raise ValueError(f"{entries} has no valid gridding {cols} x {rows}")
+            images.add(entries)
         else:
             stack += [(len(word), x) for x in letters if _extends_normal_form(word, x)]
         if not stack:
-            return images
+            return {Permutation(entries) for entries in images}
         depth, letter = stack.pop()
         while len(word) > depth:
             k, l = word.pop()

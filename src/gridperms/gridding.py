@@ -12,11 +12,11 @@ One band walk, ``_band_start``, decides every cell for ``check_gridding``,
 ``find_gridding`` and ``in_grid_class``: it walks a band's values down from
 its top while each cell's indices keep the order its entry asks for, which
 gives the least start the band can have.  A gridding is valid when each
-band reaches its division.  ``in_grid_class`` chains the walk into a
-threshold pass that finds the least row divisions for given columns in
-O(n + t*u) steps; as it needs only existence, it tries each division of
-the axis with fewer divisions, columns when t < u and rows otherwise, and
-finds the least divisions of the other.
+band reaches its division.  ``in_grid_class`` chains the walk, through
+``_witness``, into a threshold pass that finds the least row divisions for
+given columns in O(n + t*u) steps; as it needs only existence, it tries
+each division of the axis with fewer divisions, columns when t < u and rows
+otherwise, and finds the least divisions of the other.
 
 Every exhaustive search in the package first admits its unpruned tree: one
 with more than SEARCH_BUDGET nodes raises LimitExceededError before any work.
@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import comb
 
 from .matrices import Cell, GridMatrix
@@ -279,17 +279,31 @@ def _least_rows(
 def in_grid_class(pi: Permutation, matrix: GridMatrix) -> bool:
     """Whether pi has any valid gridding for the matrix.
 
-    Admits the same search as find_gridding, then gives each division of
-    the axis with fewer divisions to _least_rows.  With fewer columns than
-    rows that is each column division, as in find_gridding.  Otherwise it
-    searches the transposed problem: the griddings of pi for the matrix are
-    those of the inverse of pi for the transpose, with columns and rows
+    Admits the same search as find_gridding, then runs the threshold pass
+    of _witness on the axis with fewer divisions.
+    """
+    n = len(pi)
+    _admit(n, _gridding_runs(n, matrix))
+    return _witness(pi, matrix) is not None
+
+
+def _witness(
+    pi: Permutation, matrix: GridMatrix, first: tuple[int, ...] | None = None
+) -> tuple[int, ...] | None:
+    """A division of the searched axis that _least_rows completes to a
+    valid gridding of pi, or None when pi has no gridding.
+
+    ``first`` is tried before the divisions in lexicographic order, which
+    stay exhaustive, so it never changes the answer; nothing is admitted.
+    The searched axis is the one with fewer divisions.  With fewer columns
+    than rows that is the column divisions, as in find_gridding.  Otherwise
+    it searches the transposed problem: the griddings of pi for the matrix
+    are those of the inverse of pi for the transpose, with columns and rows
     swapped.  The inverse of the inverse is pi itself and the transpose's
     rows are the matrix's columns, so each row division of pi is given to
     _least_rows as it is.
     """
     n = len(pi)
-    _admit(n, _gridding_runs(n, matrix))
     if matrix.t < matrix.u:
         index_of = [0] * n
         for index, value in enumerate(pi.entries, 1):
@@ -297,7 +311,8 @@ def in_grid_class(pi: Permutation, matrix: GridMatrix) -> bool:
         lines, parts = tuple(zip(*matrix.columns)), matrix.t
     else:
         index_of, lines, parts = pi.entries, matrix.columns, matrix.u
-    for divisions in _division_sequences(n, parts):
+    tried = _division_sequences(n, parts)
+    for divisions in tried if first is None else chain((first,), tried):
         if _least_rows(index_of, lines, _bands(divisions)) is not None:
-            return True
-    return False
+            return divisions
+    return None

@@ -22,6 +22,7 @@ from gridperms import (
     pattern_of,
 )
 from gridperms.codec import _spell
+from gridperms.gridding import _witness
 
 from .conftest import DEMO_MATRIX_TEXT
 from .oracles import filter_class, trace_counts, word_images
@@ -65,7 +66,7 @@ def test_factorial_cap():
 def test_counting_sequence_refuses_before_any_work(monkeypatch):
     calls = []
     monkeypatch.setattr(
-        "gridperms.enumeration.in_grid_class", lambda *args: calls.append(args)
+        "gridperms.enumeration._witness", lambda *args: calls.append(args)
     )
     with pytest.raises(LimitExceededError):
         counting_sequence(GridMatrix.parse("+"), 10)
@@ -82,7 +83,7 @@ def test_class_sweep_admits_nine_and_refuses_any_longer(monkeypatch):
     assert enumerate_class(one_cell, 9) == {Permutation(tuple(range(1, 10)))}
     calls = []
     monkeypatch.setattr(
-        "gridperms.enumeration.in_grid_class", lambda *args: calls.append(args)
+        "gridperms.enumeration._witness", lambda *args: calls.append(args)
     )
     for n in (10, 10**100):
         with pytest.raises(LimitExceededError):
@@ -149,7 +150,7 @@ def test_search_admission_edges(monkeypatch, search, text, admitted, refused):
     # Stubs make an admitted search stop at once and record any work done.
     calls = []
     for target, result in [
-        ("gridperms.enumeration.in_grid_class", False),
+        ("gridperms.enumeration._witness", None),
         ("gridperms.enumeration._spell", None),
         ("gridperms.enumeration._extends_normal_form", False),
         ("gridperms.gridding._bands_valid", True),
@@ -283,11 +284,12 @@ def test_class_sweep_searches_only_members_and_basis(monkeypatch, text, basis):
     m = GridMatrix.parse(text)
     searched = []
 
-    def recording_in_grid_class(pi, matrix):
-        searched.append((pi, in_grid_class(pi, matrix)))
-        return searched[-1][1]
+    def recording_witness(pi, matrix, first):
+        found = _witness(pi, matrix, first)
+        searched.append((pi, found is not None))
+        return found
 
-    monkeypatch.setattr("gridperms.enumeration.in_grid_class", recording_in_grid_class)
+    monkeypatch.setattr("gridperms.enumeration._witness", recording_witness)
     counts = counting_sequence(m, 7)
     rejected = [pi for pi, member in searched if not member]
     for n in range(1, 8):
@@ -310,6 +312,19 @@ def test_class_matches_factorial_filter_at_seven(text):
     assert enumerate_class(m, 7) == filter_class(m, 7)
 
 
+# DEMO's transpose and another 2x3: fewer columns than rows, so each child
+# inherits its parent's column divisions.
+@pytest.mark.parametrize("text, counts", [
+    ("- +\n. +\n+ .", (1, 2, 6, 20, 67, 221)),
+    ("+ .\n- +\n. +", (1, 2, 6, 23, 87, 307)),
+])
+def test_column_axis_class_matches_factorial_filter(text, counts):
+    m = GridMatrix.parse(text)
+    assert counting_sequence(m, 6) == counts
+    for n in range(7):
+        assert enumerate_class(m, n) == filter_class(m, n), n
+
+
 @pytest.mark.parametrize(
     "text", [DEMO_MATRIX_TEXT, "+ .\n+ -", "+ +\n+ +", ". . +\n. - +\n+ + ."]
 )
@@ -327,8 +342,8 @@ def test_word_sweep_encodes_each_gridded_image_once(monkeypatch, text):
     encoded = []
 
     def recording_spell(*args):
-        perm, cols, rows = spelled = _spell(*args)
-        encoded.append(GriddedPermutation(perm, m, Gridding(cols, rows)))
+        entries, cols, rows = spelled = _spell(*args)
+        encoded.append(GriddedPermutation(Permutation(entries), m, Gridding(cols, rows)))
         return spelled
 
     monkeypatch.setattr("gridperms.enumeration._spell", recording_spell)
@@ -356,7 +371,7 @@ def test_word_sweep_spells_what_encode_spells(monkeypatch, text):
                     word[j][axis] = band
         gp = encode(m, signs, tuple(map(tuple, word)))
         result = _spell(by_column, by_row, signs, n)
-        assert result == (gp.perm, gp.gridding.cols, gp.gridding.rows), word
+        assert result == (gp.perm.entries, gp.gridding.cols, gp.gridding.rows), word
         spelled.append(None)
         return result
 
@@ -370,7 +385,7 @@ def test_word_sweep_certifies_every_image(monkeypatch):
     # A core that spelled 21 with one + cell would break the cell rule.
     monkeypatch.setattr(
         "gridperms.enumeration._spell",
-        lambda *args: (Permutation((2, 1)), (1, 3), (1, 3)),
+        lambda *args: ((2, 1), (1, 3), (1, 3)),
     )
     one_cell = GridMatrix.parse("+")
     with pytest.raises(ValueError, match="no valid gridding"):

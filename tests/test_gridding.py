@@ -14,7 +14,7 @@ from gridperms import (
     in_grid_class,
     pattern_of,
 )
-from gridperms.gridding import _bands, _division_sequences, _least_rows
+from gridperms.gridding import _bands, _division_sequences, _least_rows, _witness
 
 from .oracles import brute_griddings, valid_gridding
 from .strategies import matrices, permutations
@@ -191,6 +191,41 @@ def test_in_grid_class_transpose_identity(pi, m):
 def test_in_grid_class_on_either_axis_agrees_with_find_gridding(pi, m):
     # One column searches its column divisions, one row its row divisions.
     assert in_grid_class(pi, m) == (find_gridding(pi, m) is not None)
+
+
+HINTED_SHAPES = (
+    [(1, u) for u in range(2, 7)] + [(t, 1) for t in range(2, 7)] + [(2, 2), (3, 2), (3, 3)]
+)
+
+
+@st.composite
+def hinted_searches(draw):
+    """A permutation, a matrix of one of HINTED_SHAPES and any division of
+    the axis _witness searches, the one with min(t, u) parts."""
+    t, u = draw(st.sampled_from(HINTED_SHAPES))
+    entries = st.lists(st.sampled_from([0, 1, -1]), min_size=u, max_size=u)
+    m = GridMatrix(tuple(tuple(draw(entries)) for _ in range(t)))
+    pi = draw(permutations(max_n=7))
+    n, parts = len(pi), min(t, u)
+    middle = draw(st.lists(st.integers(1, n + 1), min_size=parts - 1, max_size=parts - 1))
+    return pi, m, (1, *sorted(middle), n + 1)
+
+
+@given(hinted_searches())
+@settings(max_examples=300, deadline=None)
+def test_witness_hint_never_changes_the_answer(case):
+    pi, m, first = case
+    found = _witness(pi, m, first)
+    assert (found is not None) == in_grid_class(pi, m)
+    if found is not None:
+        # the columns when t < u, else the rows of the transposed problem
+        if m.t < m.u:
+            cols = found
+            rows = _least_rows(inverse(pi).entries, transpose(m).columns, _bands(cols))
+        else:
+            rows = found
+            cols = _least_rows(pi.entries, m.columns, _bands(rows))
+        assert check_gridding(pi, m, Gridding(cols, rows))
 
 
 @given(permutations(max_n=6), matrices(max_t=3, max_u=3))
