@@ -2,11 +2,15 @@
 
 Two independent pipelines generate class members.  ``enumerate_class``
 walks the insertion tree: grid classes are closed under deletion, so every
-length-n member is a length-(n-1) member with the value n inserted, and
-only those one-point extensions whose other deletions are all members go
-through the gridding search, so it runs only on members and basis elements.
-Each member carries the division that admitted it, a child tries its
-parent's first, and the search after a miss stays exhaustive.
+length-n member is a length-(n-1) member with the value n inserted at one
+of its active sites, the indices where that insertion gives a member (as in
+Vatter's generating trees).  The walk keeps each member's active sites with
+the witness division that admitted each.  An extension goes through the
+gridding search only when each of its other deletions is a member, one
+lookup in the active sites of the parent's deletion per deleted value, so
+the search runs only on members and basis elements.  It tries the parent's
+witness division, then each deletion's, lifted by re-inserting the deleted
+point, and then every division, so no answer depends on the hints.
 ``enumerate_via_words`` encodes the lexicographic normal forms of traces:
 letters whose cells share neither a column nor a row commute without
 changing the encoded gridded permutation, so one word per commutation
@@ -29,57 +33,97 @@ from .matrices import GridMatrix
 from .perms import Permutation
 
 
-def _class_levels(matrix: GridMatrix, n_max: int) -> Iterator[list[Permutation]]:
-    """The members of lengths 0, 1, ..., n_max, one list per length.
+# The active sites of a member q: a bit mask of the indices j at which
+# inserting q's new maximum gives a member, and the witness division of each.
+Sites = tuple[int, dict[int, tuple[int, ...]]]
 
-    Level n inserts the value n at every position of every level-(n-1)
-    member.  Deleting n from a candidate recovers its parent and position,
-    so no candidate repeats.  The class is closed under deletion, so a
-    candidate with a one-point deletion outside level n-1 is no member; the
-    gridding search runs only on candidates whose deletions are all members,
-    which are the members and the basis elements of length n.  Each member
-    keeps the division that admitted it, and a child tries its parent's,
-    moved to the insertion, before the exhaustive search.
+
+def _class_levels(matrix: GridMatrix, n_max: int) -> Iterator[list[tuple[int, ...]]]:
+    """The entry tuples of the members of lengths 0, 1, ..., n_max, one list
+    per length.
+
+    Level n inserts the value n at every active site of every level-(n-1)
+    member P.  Deleting n from a candidate recovers its parent and position,
+    so no candidate repeats.  The class is closed under deletion, so the
+    candidate with n at index j is a member only if, for each value v of P
+    at index p, deleting v gives a member: j - (p < j) must be an active
+    site of P less v, one table lookup per (P, v).  The gridding search runs
+    only on the candidates that pass, which are the members and the basis
+    elements of length n.  It tries the parent's witness division and each
+    deletion's, lifted to the candidate, before the exhaustive search.
     """
     _admit(n_max, ((k, 1) for k in range(1, n_max + 1)))
     _admit(n_max, _gridding_runs(n_max, matrix))
+    yield [()]
+    if not n_max:
+        return
     # _witness searches column divisions when t < u and row divisions
-    # otherwise; the empty permutation's divisions are all 1.
+    # otherwise; sites maps each member of length n - 2 to its Sites.
     on_columns = matrix.t < matrix.u
-    level = [Permutation(())]
-    divisions = [(1,) * (min(matrix.t, matrix.u) + 1)]
-    yield level
-    for n in range(1, n_max + 1):
-        members = {parent.entries for parent in level}
-        top = (n - 1,)
-        children, found = [], []
-        for parent, division in zip(level, divisions):
-            entries = parent.entries
-            # Deleting v from the parent, which holds v at position p; the
-            # values above v close the gap.
-            deletions = [
-                (p, tuple([w - (w > v) for w in entries if w != v]))
-                for p, v in enumerate(entries)
+    witness = _witness((1,), matrix)
+    sites: dict[tuple[int, ...], Sites] = {(): (1, {0: witness}) if witness else (0, {})}
+    yield [(1,)] if witness else []
+    for n in range(2, n_max + 1):
+        level, grown = [], {}
+        for q, q_sites in sites.items():
+            # Deleting v from q, which holds v at index p; the values above
+            # v close the gap.
+            q_deletions = [
+                (p, v, tuple([w - (w > v) for w in q if w != v])) for p, v in enumerate(q)
             ]
-            for j in range(n):
-                # Deleting n gives the parent; deleting v < n gives the
-                # parent's deletion of v with n - 1 where n sat.
-                if all(
-                    d[:j - (p < j)] + top + d[j - (p < j):] in members
-                    for p, d in deletions
-                ):
-                    candidate = Permutation(entries[:j] + (n,) + entries[j:])
-                    # n joins the top row, or the column holding index j + 1
-                    if on_columns:
-                        first = tuple(d + (d > j + 1) for d in division[:-1]) + (n + 1,)
-                    else:
-                        first = division[:-1] + (n + 1,)
-                    witness = _witness(candidate, matrix, first)
-                    if witness is not None:
-                        children.append(candidate)
-                        found.append(witness)
-        level, divisions = children, found
+            for s, division in q_sites[1].items():
+                parent = q[:s] + (n - 1,) + q[s:]
+                # (index, value, Sites) of each deletion of the parent: less
+                # n - 1 it is q, less v < n - 1 it is q's deletion of v with
+                # n - 2 where n - 1 sat.
+                lookups = [(s, n - 1, q_sites)]
+                for p, v, d in q_deletions:
+                    at = s - (p < s)
+                    lookups.append((p + (p >= s), v, sites[d[:at] + (n - 2,) + d[at:]]))
+                # j - (p < j) is s for j = s <= p and j = s + 1 > p
+                open_sites = (1 << n) - 1
+                for p, _, (active, _) in lookups:
+                    open_sites &= (active & ((2 << p) - 1)) | (active >> p << (p + 1))
+                mask, found = 0, {}
+                for j in range(n):
+                    if open_sites >> j & 1:
+                        child = parent[:j] + (n,) + parent[j:]
+                        hints = _hints(division, lookups, j, n, on_columns)
+                        witness = _witness(child, matrix, hints)
+                        if witness is not None:
+                            mask |= 1 << j
+                            found[j] = witness
+                            level.append(child)
+                grown[parent] = (mask, found)
+        sites = grown
         yield level
+
+
+def _lifts(division: tuple[int, ...], x: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The least and the greatest division of a length-n permutation that
+    give ``division`` once its point at x on the searched axis is deleted:
+    the point joins the part above a boundary at x, or the part below it.
+    Each ends at n + 1, and equal ones are given once.
+    """
+    above = tuple([b + (b > x) for b in division[:-1]]) + (n + 1,)
+    yield above
+    below = (1,) + tuple([b + (b >= x) for b in division[1:-1]]) + (n + 1,)
+    if below != above:
+        yield below
+
+
+def _hints(
+    division: tuple[int, ...], lookups: list[tuple[int, int, Sites]], j: int, n: int,
+    on_columns: bool,
+) -> Iterator[tuple[int, ...]]:
+    """The divisions the child with n at index j tries first: its parent's
+    witness division, then each deletion's, lifted to the child.  The point
+    deleted is at index j + 1 and value n, or at index p + 1 + (p >= j) and
+    value v."""
+    yield from _lifts(division, j + 1 if on_columns else n, n)
+    for p, v, (_, witnesses) in lookups:
+        x = p + 1 + (p >= j) if on_columns else v
+        yield from _lifts(witnesses[j - (p < j)], x, n)
 
 
 def enumerate_class(matrix: GridMatrix, n: int) -> set[Permutation]:
@@ -91,7 +135,7 @@ def enumerate_class(matrix: GridMatrix, n: int) -> set[Permutation]:
     refused before any work.
     """
     *_, members = _class_levels(matrix, n)
-    return set(members)
+    return {Permutation(entries) for entries in members}
 
 
 def _extends_normal_form(word: list[Letter], letter: Letter) -> bool:

@@ -284,17 +284,18 @@ def in_grid_class(pi: Permutation, matrix: GridMatrix) -> bool:
     """
     n = len(pi)
     _admit(n, _gridding_runs(n, matrix))
-    return _witness(pi, matrix) is not None
+    return _witness(pi.entries, matrix) is not None
 
 
 def _witness(
-    pi: Permutation, matrix: GridMatrix, first: tuple[int, ...] | None = None
+    entries: tuple[int, ...], matrix: GridMatrix, hints: Iterable[tuple[int, ...]] = ()
 ) -> tuple[int, ...] | None:
     """A division of the searched axis that _least_rows completes to a
-    valid gridding of pi, or None when pi has no gridding.
+    valid gridding of the permutation pi with these entries, or None when
+    pi has no gridding.
 
-    ``first`` is tried before the divisions in lexicographic order, which
-    stay exhaustive, so it never changes the answer; nothing is admitted.
+    ``hints`` are tried before the divisions in lexicographic order, which
+    stay exhaustive, so they never change the answer; nothing is admitted.
     The searched axis is the one with fewer divisions.  With fewer columns
     than rows that is the column divisions, as in find_gridding.  Otherwise
     it searches the transposed problem: the griddings of pi for the matrix
@@ -303,16 +304,15 @@ def _witness(
     rows are the matrix's columns, so each row division of pi is given to
     _least_rows as it is.
     """
-    n = len(pi)
+    n = len(entries)
     if matrix.t < matrix.u:
         index_of = [0] * n
-        for index, value in enumerate(pi.entries, 1):
+        for index, value in enumerate(entries, 1):
             index_of[value - 1] = index
         lines, parts = tuple(zip(*matrix.columns)), matrix.t
     else:
-        index_of, lines, parts = pi.entries, matrix.columns, matrix.u
-    tried = _division_sequences(n, parts)
-    for divisions in tried if first is None else chain((first,), tried):
+        index_of, lines, parts = entries, matrix.columns, matrix.u
+    for divisions in chain(hints, _division_sequences(n, parts)):
         if _least_rows(index_of, lines, _bands(divisions)) is not None:
             return divisions
     return None

@@ -3,6 +3,7 @@ import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 from gridperms import (
     GriddedPermutation,
@@ -22,10 +23,12 @@ from gridperms import (
     pattern_of,
 )
 from gridperms.codec import _spell
-from gridperms.gridding import _witness
+from gridperms.enumeration import _hints, _lifts
+from gridperms.gridding import _least_rows, _witness
 
 from .conftest import DEMO_MATRIX_TEXT
-from .oracles import filter_class, trace_counts, word_images
+from .oracles import division_sequences, filter_class, trace_counts, word_images
+from .strategies import matrices
 
 ONE_ROW = GridMatrix.parse("+ +")
 
@@ -284,19 +287,123 @@ def test_class_sweep_searches_only_members_and_basis(monkeypatch, text, basis):
     m = GridMatrix.parse(text)
     searched = []
 
-    def recording_witness(pi, matrix, first):
-        found = _witness(pi, matrix, first)
-        searched.append((pi, found is not None))
+    def recording_witness(entries, matrix, hints=()):
+        found = _witness(entries, matrix, hints)
+        searched.append((entries, found is not None))
         return found
 
     monkeypatch.setattr("gridperms.enumeration._witness", recording_witness)
     counts = counting_sequence(m, 7)
-    rejected = [pi for pi, member in searched if not member]
+    rejected = [entries for entries, member in searched if not member]
     for n in range(1, 8):
-        at_n = [pi for pi, _ in searched if len(pi) == n]
-        assert len(at_n) == counts[n - 1] + sum(len(pi) == n for pi in rejected), n
+        at_n = [entries for entries, _ in searched if len(entries) == n]
+        assert len(at_n) == counts[n - 1] + sum(len(e) == n for e in rejected), n
     assert len(rejected) == len(basis)
-    assert set(rejected) == perms(*basis)
+    assert {Permutation(entries) for entries in rejected} == perms(*basis)
+
+
+# Searches and rejections are those of any walk that searches exactly the
+# candidates whose deletions are all members.  The passes pin the hints:
+# with only the parent's division first, the walk made 5,893 (DEMO), 88,035
+# (M33) and 16,800 (a 2x3, searched on columns) through n = 8.
+@pytest.mark.parametrize("text, searched, rejected, max_passes", [
+    (DEMO_MATRIX_TEXT, 3332, 4, 4165),
+    (M33_TEXT, 6940, 33, 2 * 6940),
+    ("+ .\n- +\n. +", 4777, 23, 2 * 4777),
+])
+def test_class_sweep_certifies_members_from_lifted_witnesses(
+    monkeypatch, text, searched, rejected, max_passes
+):
+    m = GridMatrix.parse(text)
+    found, passes = [], []
+
+    def counting_least_rows(*args):
+        passes.append(None)
+        return _least_rows(*args)
+
+    def recording_witness(entries, matrix, hints=()):
+        found.append(_witness(entries, matrix, hints))
+        return found[-1]
+
+    monkeypatch.setattr("gridperms.gridding._least_rows", counting_least_rows)
+    monkeypatch.setattr("gridperms.enumeration._witness", recording_witness)
+    counts = counting_sequence(m, 8)
+    assert len(found) == searched
+    assert found.count(None) == rejected
+    assert len(found) - rejected == sum(counts)
+    assert len(passes) <= max_passes
+
+
+@pytest.mark.parametrize("division, x, lifts", [
+    ((1, 3, 5), 1, [(1, 4, 6)]),  # a point at index 1
+    ((1, 1, 5), 1, [(1, 1, 6), (1, 2, 6)]),  # at 1, below an empty first part
+    ((1, 3, 5), 5, [(1, 3, 6)]),  # at index n
+    ((1, 5, 5), 5, [(1, 5, 6), (1, 6, 6)]),  # at n, with an empty last part
+    ((1, 3, 5), 3, [(1, 3, 6), (1, 4, 6)]),  # on a boundary
+    ((1, 3, 3, 5), 3, [(1, 3, 3, 6), (1, 4, 4, 6)]),  # on two boundaries
+    ((1, 5), 2, [(1, 6)]),  # a single part
+])
+def test_lifts_at_the_edges(division, x, lifts):
+    assert list(_lifts(division, x, 5)) == lifts
+
+
+def test_lifts_are_the_extreme_divisions_that_delete_to_the_witness():
+    # Deleting the point at x maps each boundary b of the child to b - (b > x).
+    for n in range(1, 6):
+        for parts in (1, 2, 3):
+            for division in division_sequences(n - 1, parts):
+                for x in range(1, n + 1):
+                    preimages = [
+                        d for d in division_sequences(n, parts)
+                        if tuple(b - (b > x) for b in d) == division
+                    ]
+                    lifts = list(_lifts(division, x, n))
+                    assert lifts == sorted({min(preimages), max(preimages)})
+
+
+@pytest.mark.parametrize("on_columns", [True, False])
+def test_hints_lift_each_witness_at_its_deleted_point(on_columns):
+    # Every index and value is a boundary of (1, 2, 3, 4, 5), so each lift
+    # shows where the point went back in.  The deleted point sits at its
+    # index in the child on the columns axis and at its value on the rows.
+    parent, n, every = (3, 1, 4, 2), 5, (1, 2, 3, 4, 5)
+    for j in range(n):
+        child = parent[:j] + (n,) + parent[j:]
+        lookups = [(p, v, (0, {j - (p < j): every})) for p, v in enumerate(parent)]
+        expected = []
+        for point in (n,) + parent:
+            x = child.index(point) + 1 if on_columns else point
+            expected += _lifts(every, x, n)
+        assert list(_hints(every, lookups, j, n, on_columns)) == expected, j
+
+
+@pytest.mark.parametrize("text, counts", [
+    (DEMO_MATRIX_TEXT, (1, 2, 6, 20, 67, 221)),
+    ("- +\n. +\n+ .", (1, 2, 6, 20, 67, 221)),
+    (M33_TEXT, (1, 2, 6, 22, 87, 347)),
+])
+def test_class_sweep_hints_are_divisions_of_the_candidate(monkeypatch, text, counts):
+    # Rows axis for DEMO and M33, columns axis for DEMO's transpose.
+    m = GridMatrix.parse(text)
+    parts = min(m.t, m.u)
+
+    def checking_witness(entries, matrix, hints=()):
+        hints = list(hints)
+        n = len(entries)
+        assert hints or n == 1
+        assert set(hints) <= set(division_sequences(n, parts)), entries
+        return _witness(entries, matrix, hints)
+
+    monkeypatch.setattr("gridperms.enumeration._witness", checking_witness)
+    assert counting_sequence(m, 6) == counts
+
+
+# Shapes 1x2 to 3x3, so both axes are searched.
+@given(matrices(max_t=3, max_u=3).filter(lambda m: m.t * m.u > 1))
+@settings(max_examples=60, deadline=None)
+def test_class_matches_factorial_filter_on_random_matrices(m):
+    for n in range(6):
+        assert enumerate_class(m, n) == filter_class(m, n), n
 
 
 def test_class_matches_factorial_filter_on_all_2x2():

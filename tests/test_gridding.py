@@ -200,22 +200,23 @@ HINTED_SHAPES = (
 
 @st.composite
 def hinted_searches(draw):
-    """A permutation, a matrix of one of HINTED_SHAPES and any division of
-    the axis _witness searches, the one with min(t, u) parts."""
+    """A permutation, a matrix of one of HINTED_SHAPES and any sequence of
+    divisions of the axis _witness searches, the one with min(t, u) parts."""
     t, u = draw(st.sampled_from(HINTED_SHAPES))
     entries = st.lists(st.sampled_from([0, 1, -1]), min_size=u, max_size=u)
     m = GridMatrix(tuple(tuple(draw(entries)) for _ in range(t)))
     pi = draw(permutations(max_n=7))
     n, parts = len(pi), min(t, u)
-    middle = draw(st.lists(st.integers(1, n + 1), min_size=parts - 1, max_size=parts - 1))
-    return pi, m, (1, *sorted(middle), n + 1)
+    middles = st.lists(st.integers(1, n + 1), min_size=parts - 1, max_size=parts - 1)
+    hints = draw(st.lists(middles.map(lambda middle: (1, *sorted(middle), n + 1)), max_size=4))
+    return pi, m, hints
 
 
 @given(hinted_searches())
 @settings(max_examples=300, deadline=None)
 def test_witness_hint_never_changes_the_answer(case):
-    pi, m, first = case
-    found = _witness(pi, m, first)
+    pi, m, hints = case
+    found = _witness(pi.entries, m, iter(hints))
     assert (found is not None) == in_grid_class(pi, m)
     if found is not None:
         # the columns when t < u, else the rows of the transposed problem
