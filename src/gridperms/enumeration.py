@@ -5,12 +5,14 @@ walks the insertion tree: grid classes are closed under deletion, so every
 length-n member is a length-(n-1) member with the value n inserted at one
 of its active sites, the indices where that insertion gives a member (as in
 Vatter's generating trees).  The walk keeps each member's active sites with
-the witness division that admitted each.  An extension goes through the
+the witness row division that admitted each.  An extension goes through the
 gridding search only when each of its other deletions is a member, one
 lookup in the active sites of the parent's deletion per deleted value, so
 the search runs only on members and basis elements.  It tries the parent's
 witness division, then each deletion's, lifted by re-inserting the deleted
-point, and then every division, so no answer depends on the hints.
+value, and then every division, so no answer depends on the hints.  A
+matrix with fewer columns than rows is walked as its transpose, whose
+members are the inverses of the class's members.
 ``enumerate_via_words`` encodes the lexicographic normal forms of traces:
 letters whose cells share neither a column nor a row commute without
 changing the encoded gridded permutation, so one word per commutation
@@ -28,19 +30,23 @@ from collections.abc import Iterator
 
 from .codec import Letter, _spell, alphabet
 from .graphs import SignAssignment
-from .gridding import _admit, _bands, _bands_valid, _gridding_runs, _witness
+from .gridding import (
+    _admit, _bands, _bands_valid, _gridding_runs, _inverse, _transpose, _witness,
+)
 from .matrices import GridMatrix
 from .perms import Permutation
 
 
 # The active sites of a member q: a bit mask of the indices j at which
-# inserting q's new maximum gives a member, and the witness division of each.
+# inserting q's new maximum gives a member, and the witness division of each;
+# a member is its entries and its witness division.
 Sites = tuple[int, dict[int, tuple[int, ...]]]
+Member = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _class_levels(matrix: GridMatrix, n_max: int) -> Iterator[list[tuple[int, ...]]]:
-    """The entry tuples of the members of lengths 0, 1, ..., n_max, one list
-    per length.
+def _class_levels(matrix: GridMatrix, n_max: int) -> Iterator[list[Member]]:
+    """The members of lengths 0, 1, ..., n_max of a matrix with t >= u, one
+    list per length of (entries, witness row division) pairs.
 
     Level n inserts the value n at every active site of every level-(n-1)
     member P.  Deleting n from a candidate recovers its parent and position,
@@ -52,58 +58,39 @@ def _class_levels(matrix: GridMatrix, n_max: int) -> Iterator[list[tuple[int, ..
     elements of length n.  It tries the parent's witness division and each
     deletion's, lifted to the candidate, before the exhaustive search.
     """
-    _admit(n_max, ((k, 1) for k in range(1, n_max + 1)))
-    _admit(n_max, _gridding_runs(n_max, matrix))
-    yield [()]
-    if not n_max:
-        return
-    # _witness searches column divisions when t < u and row divisions
-    # otherwise; sites maps each member of length n - 2 to its Sites.
-    on_columns = matrix.t < matrix.u
-    witness = _witness((1,), matrix)
-    sites: dict[tuple[int, ...], Sites] = {(): (1, {0: witness}) if witness else (0, {})}
-    yield [(1,)] if witness else []
-    for n in range(2, n_max + 1):
-        level, grown = [], {}
-        for q, q_sites in sites.items():
-            # Deleting v from q, which holds v at index p; the values above
-            # v close the gap.
-            q_deletions = [
-                (p, v, tuple([w - (w > v) for w in q if w != v])) for p, v in enumerate(q)
-            ]
-            for s, division in q_sites[1].items():
-                parent = q[:s] + (n - 1,) + q[s:]
-                # (index, value, Sites) of each deletion of the parent: less
-                # n - 1 it is q, less v < n - 1 it is q's deletion of v with
-                # n - 2 where n - 1 sat.
-                lookups = [(s, n - 1, q_sites)]
-                for p, v, d in q_deletions:
-                    at = s - (p < s)
-                    lookups.append((p + (p >= s), v, sites[d[:at] + (n - 2,) + d[at:]]))
-                # j - (p < j) is s for j = s <= p and j = s + 1 > p
-                open_sites = (1 << n) - 1
-                for p, _, (active, _) in lookups:
-                    open_sites &= (active & ((2 << p) - 1)) | (active >> p << (p + 1))
-                mask, found = 0, {}
-                for j in range(n):
-                    if open_sites >> j & 1:
-                        child = parent[:j] + (n,) + parent[j:]
-                        hints = _hints(division, lookups, j, n, on_columns)
-                        witness = _witness(child, matrix, hints)
-                        if witness is not None:
-                            mask |= 1 << j
-                            found[j] = witness
-                            level.append(child)
-                grown[parent] = (mask, found)
-        sites = grown
+    # the empty permutation, gridded with every row empty
+    level = [((), (1,) * (matrix.u + 1))]
+    sites: dict[tuple[int, ...], Sites] = {}
+    yield level
+    for n in range(1, n_max + 1):
+        members, grown = [], {}
+        for parent, division in level:
+            # (index, value, Sites) of each deletion of the parent, whose
+            # site s is open at j = s <= p and at j = s + 1 > p
+            lookups, open_sites = [], (1 << n) - 1
+            for p, v in enumerate(parent):
+                active, _ = deleted = sites[tuple([w - (w > v) for w in parent if w != v])]
+                lookups.append((p, v, deleted))
+                open_sites &= (active & ((2 << p) - 1)) | (active >> p << (p + 1))
+            mask, found = 0, {}
+            for j in range(n):
+                if open_sites >> j & 1:
+                    child = parent[:j] + (n,) + parent[j:]
+                    witness = _witness(child, matrix, _hints(division, lookups, j, n))
+                    if witness is not None:
+                        mask |= 1 << j
+                        found[j] = witness
+                        members.append((child, witness))
+            grown[parent] = (mask, found)
+        level, sites = members, grown
         yield level
 
 
 def _lifts(division: tuple[int, ...], x: int, n: int) -> Iterator[tuple[int, ...]]:
     """The least and the greatest division of a length-n permutation that
-    give ``division`` once its point at x on the searched axis is deleted:
-    the point joins the part above a boundary at x, or the part below it.
-    Each ends at n + 1, and equal ones are given once.
+    give ``division`` once its point of value x is deleted: the point joins
+    the row above a boundary at x, or the row below it.  Each ends at n + 1,
+    and equal ones are given once.
     """
     above = tuple([b + (b > x) for b in division[:-1]]) + (n + 1,)
     yield above
@@ -113,17 +100,21 @@ def _lifts(division: tuple[int, ...], x: int, n: int) -> Iterator[tuple[int, ...
 
 
 def _hints(
-    division: tuple[int, ...], lookups: list[tuple[int, int, Sites]], j: int, n: int,
-    on_columns: bool,
+    division: tuple[int, ...], lookups: list[tuple[int, int, Sites]], j: int, n: int
 ) -> Iterator[tuple[int, ...]]:
     """The divisions the child with n at index j tries first: its parent's
-    witness division, then each deletion's, lifted to the child.  The point
-    deleted is at index j + 1 and value n, or at index p + 1 + (p >= j) and
-    value v."""
-    yield from _lifts(division, j + 1 if on_columns else n, n)
+    witness division lifted at the value n, then each deletion's lifted at
+    its deleted value v."""
+    yield from _lifts(division, n, n)
     for p, v, (_, witnesses) in lookups:
-        x = p + 1 + (p >= j) if on_columns else v
-        yield from _lifts(witnesses[j - (p < j)], x, n)
+        yield from _lifts(witnesses[j - (p < j)], v, n)
+
+
+def _admit_class(matrix: GridMatrix, n_max: int) -> None:
+    """Refuse a sweep whose insertion tree or longest gridding search, on
+    the matrix as given, is over the budget."""
+    _admit(n_max, ((k, 1) for k in range(1, n_max + 1)))
+    _admit(n_max, _gridding_runs(n_max, matrix))
 
 
 def enumerate_class(matrix: GridMatrix, n: int) -> set[Permutation]:
@@ -134,8 +125,12 @@ def enumerate_class(matrix: GridMatrix, n: int) -> set[Permutation]:
     9, and lengths whose gridding search is over the search budget, are
     refused before any work.
     """
+    _admit_class(matrix, n)
+    if matrix.t < matrix.u:
+        *_, members = _class_levels(_transpose(matrix), n)
+        return {Permutation(_inverse(entries)) for entries, _ in members}
     *_, members = _class_levels(matrix, n)
-    return {Permutation(entries) for entries in members}
+    return {Permutation(entries) for entries, _ in members}
 
 
 def _extends_normal_form(word: list[Letter], letter: Letter) -> bool:
@@ -212,4 +207,7 @@ def counting_sequence(matrix: GridMatrix, n_max: int) -> tuple[int, ...]:
     >>> counting_sequence(GridMatrix.parse("+ +"), 3)
     (1, 2, 5)
     """
+    _admit_class(matrix, n_max)
+    if matrix.t < matrix.u:
+        matrix = _transpose(matrix)
     return tuple(len(level) for level in _class_levels(matrix, n_max))[1:]

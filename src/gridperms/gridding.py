@@ -15,8 +15,9 @@ gives the least start the band can have.  A gridding is valid when each
 band reaches its division.  ``in_grid_class`` chains the walk, through
 ``_witness``, into a threshold pass that finds the least row divisions for
 given columns in O(n + t*u) steps; as it needs only existence, it tries
-each division of the axis with fewer divisions, columns when t < u and rows
-otherwise, and finds the least divisions of the other.
+each row division of a matrix with t >= u.  pi lies in Grid(M) exactly when
+its inverse lies in Grid(M^T), so a request on fewer columns than rows is
+searched once on ``_inverse`` and ``_transpose``.
 
 Every exhaustive search in the package first admits its unpruned tree: one
 with more than SEARCH_BUDGET nodes raises LimitExceededError before any work.
@@ -248,10 +249,7 @@ def find_gridding(pi: Permutation, matrix: GridMatrix) -> Gridding | None:
     """
     n = len(pi)
     _admit(n, _gridding_runs(n, matrix))
-    index_of = [0] * n
-    for index, value in enumerate(pi.entries, 1):
-        index_of[value - 1] = index
-    matrix_rows = tuple(zip(*matrix.columns))
+    index_of, matrix_rows = _inverse(pi.entries), _transpose(matrix).columns
     for cols in _division_sequences(n, matrix.t):
         col_of = _bands(cols)
         for rows in _division_sequences(n, matrix.u):
@@ -276,43 +274,47 @@ def _least_rows(
     return tuple(rows) if rows[0] == 1 else None
 
 
+def _inverse(entries: tuple[int, ...]) -> tuple[int, ...]:
+    """The entries of the inverse permutation: the index of each value."""
+    index_of = [0] * len(entries)
+    for index, value in enumerate(entries, 1):
+        index_of[value - 1] = index
+    return tuple(index_of)
+
+
+def _transpose(matrix: GridMatrix) -> GridMatrix:
+    """The matrix with columns and rows swapped: entry (k, l) moves to (l, k)."""
+    return GridMatrix(tuple(zip(*matrix.columns)))
+
+
 def in_grid_class(pi: Permutation, matrix: GridMatrix) -> bool:
     """Whether pi has any valid gridding for the matrix.
 
-    Admits the same search as find_gridding, then runs the threshold pass
-    of _witness on the axis with fewer divisions.
+    Admits the tree _witness runs, one _least_rows pass of n steps for each
+    division of the axis with fewer divisions, then runs it on the matrix,
+    or on the inverse of pi and the transpose when t < u.
     """
-    n = len(pi)
-    _admit(n, _gridding_runs(n, matrix))
+    n, parts = len(pi), min(matrix.t, matrix.u)
+    _admit(n, [(comb(n + parts - 1, parts - 1), 1), (1, n)])
+    if matrix.t < matrix.u:
+        return _witness(_inverse(pi.entries), _transpose(matrix)) is not None
     return _witness(pi.entries, matrix) is not None
 
 
 def _witness(
     entries: tuple[int, ...], matrix: GridMatrix, hints: Iterable[tuple[int, ...]] = ()
 ) -> tuple[int, ...] | None:
-    """A division of the searched axis that _least_rows completes to a
-    valid gridding of the permutation pi with these entries, or None when
-    pi has no gridding.
+    """A row division that _least_rows completes to a valid gridding of the
+    permutation pi with these entries for a matrix with t >= u, or None.
 
     ``hints`` are tried before the divisions in lexicographic order, which
     stay exhaustive, so they never change the answer; nothing is admitted.
-    The searched axis is the one with fewer divisions.  With fewer columns
-    than rows that is the column divisions, as in find_gridding.  Otherwise
-    it searches the transposed problem: the griddings of pi for the matrix
-    are those of the inverse of pi for the transpose, with columns and rows
-    swapped.  The inverse of the inverse is pi itself and the transpose's
-    rows are the matrix's columns, so each row division of pi is given to
-    _least_rows as it is.
+    The griddings of pi for the matrix are those of its inverse for the
+    transpose, columns and rows swapped; the inverse's index map is pi and
+    the transpose's rows are the matrix's columns, so _least_rows takes each
+    row division of pi as it is.
     """
-    n = len(entries)
-    if matrix.t < matrix.u:
-        index_of = [0] * n
-        for index, value in enumerate(entries, 1):
-            index_of[value - 1] = index
-        lines, parts = tuple(zip(*matrix.columns)), matrix.t
-    else:
-        index_of, lines, parts = entries, matrix.columns, matrix.u
-    for divisions in chain(hints, _division_sequences(n, parts)):
-        if _least_rows(index_of, lines, _bands(divisions)) is not None:
-            return divisions
+    for rows in chain(hints, _division_sequences(len(entries), matrix.u)):
+        if _least_rows(entries, matrix.columns, _bands(rows)) is not None:
+            return rows
     return None

@@ -1,5 +1,6 @@
 import gc
 import time
+from functools import partial
 from itertools import product
 
 import pytest
@@ -24,7 +25,7 @@ from gridperms import (
 )
 from gridperms.codec import _spell
 from gridperms.enumeration import _hints, _lifts
-from gridperms.gridding import _least_rows, _witness
+from gridperms.gridding import _inverse, _least_rows, _witness
 
 from .conftest import DEMO_MATRIX_TEXT
 from .oracles import division_sequences, filter_class, trace_counts, word_images
@@ -119,18 +120,28 @@ M43_TEXT = "+ + + +\n+ + + +\n+ + + +"
 # 6x6 with a single nonzero cell: a tiny class whose length-9 gridding
 # search has 1 + 2002 + 2002 ** 2 = 4,010,007 nodes.
 M66_TEXT = "\n".join(["+ . . . . ."] + [". . . . . ."] * 5)
+
+
+def decreasing(n):
+    return Permutation(tuple(range(n, 0, -1)))
+
+
+# Each builds its arguments and returns the search as a call, so that a
+# refusal is timed without building a long permutation.
 SEARCHES = {
-    "enumerate_class": enumerate_class,
-    "counting_sequence": counting_sequence,
-    "enumerate_via_words": lambda m, n: enumerate_via_words(m, find_signs(m), n),
-    "find_gridding": lambda m, n: find_gridding(Permutation(tuple(range(n, 0, -1))), m),
-    "in_grid_class": lambda m, n: in_grid_class(Permutation(tuple(range(n, 0, -1))), m),
+    "enumerate_class": lambda m, n: partial(enumerate_class, m, n),
+    "counting_sequence": lambda m, n: partial(counting_sequence, m, n),
+    "enumerate_via_words": lambda m, n: partial(enumerate_via_words, m, find_signs(m), n),
+    "find_gridding": lambda m, n: partial(find_gridding, decreasing(n), m),
+    "in_grid_class": lambda m, n: partial(in_grid_class, decreasing(n), m),
 }
 
 
 # Each search's unpruned tree, in nodes: sum of k! for k <= n (insertion
-# tree), sum of |A| ** k for k <= n (words), 1 + C1 + C1 * C2 (griddings,
-# with C1 and C2 the numbers of column and row divisions).
+# tree), sum of |A| ** k for k <= n (words), 1 + C1 + C1 * C2 (find_gridding
+# and the class sweeps' longest search, with C1 and C2 the numbers of column
+# and row divisions), 1 + C + C * n (in_grid_class: C divisions of the axis
+# with p = min(t, u) parts, C = C(n + p - 1, p - 1), each one pass of n steps).
 @pytest.mark.parametrize("search, text, admitted, refused", [
     ("enumerate_class", "+", [9], [10]),
     ("counting_sequence", "+", [9], [10]),
@@ -143,11 +154,12 @@ SEARCHES = {
     ("find_gridding", M33_TEXT, [57], [58]),
     ("find_gridding", M43_TEXT, [30], [31, 60]),
     ("find_gridding", "+", [10**6], []),
-    ("in_grid_class", DEMO_MATRIX_TEXT, [180], [181]),
-    ("in_grid_class", M33_TEXT, [57], [58]),
-    ("in_grid_class", M43_TEXT, [30], [31, 60]),
+    ("in_grid_class", DEMO_MATRIX_TEXT, [1731], [1732]),
+    ("in_grid_class", M33_TEXT, [180], [181]),
+    ("in_grid_class", M43_TEXT, [180], [181, 360]),
     ("enumerate_class", M66_TEXT, [8], [9]),
     ("counting_sequence", M66_TEXT, [8], [9]),
+    ("in_grid_class", "+", [2_999_998], [2_999_999]),
 ])
 def test_search_admission_edges(monkeypatch, search, text, admitted, refused):
     # Stubs make an admitted search stop at once and record any work done.
@@ -162,12 +174,13 @@ def test_search_admission_edges(monkeypatch, search, text, admitted, refused):
         monkeypatch.setattr(target, lambda *args, result=result: calls.append(args) or result)
     matrix = GridMatrix.parse(text)
     for n in admitted:
-        SEARCHES[search](matrix, n)
+        SEARCHES[search](matrix, n)()
     calls.clear()
     for n in refused:
+        run = SEARCHES[search](matrix, n)
         start = time.perf_counter()
         with pytest.raises(LimitExceededError, match="search .* nodes"):
-            SEARCHES[search](matrix, n)
+            run()
         assert time.perf_counter() - start < 0.25, n
     assert calls == []
 
@@ -295,6 +308,10 @@ def test_class_sweep_searches_only_members_and_basis(monkeypatch, text, basis):
     monkeypatch.setattr("gridperms.enumeration._witness", recording_witness)
     counts = counting_sequence(m, 7)
     rejected = [entries for entries, member in searched if not member]
+    # With fewer columns than rows the walk runs on the transpose, whose
+    # members are the inverses of the class's.
+    if m.t < m.u:
+        rejected = [_inverse(entries) for entries in rejected]
     for n in range(1, 8):
         at_n = [entries for entries, _ in searched if len(entries) == n]
         assert len(at_n) == counts[n - 1] + sum(len(e) == n for e in rejected), n
@@ -305,11 +322,14 @@ def test_class_sweep_searches_only_members_and_basis(monkeypatch, text, basis):
 # Searches and rejections are those of any walk that searches exactly the
 # candidates whose deletions are all members.  The passes pin the hints:
 # with only the parent's division first, the walk made 5,893 (DEMO), 88,035
-# (M33) and 16,800 (a 2x3, searched on columns) through n = 8.
+# (M33) and 16,800 (a 2x3, walked as its 3x2 transpose) through n = 8.  The
+# 1x4 pins the orientation: walked untransposed, on its 4-part row axis, it
+# made 52,774.
 @pytest.mark.parametrize("text, searched, rejected, max_passes", [
-    (DEMO_MATRIX_TEXT, 3332, 4, 4165),
-    (M33_TEXT, 6940, 33, 2 * 6940),
-    ("+ .\n- +\n. +", 4777, 23, 2 * 4777),
+    (DEMO_MATRIX_TEXT, 3332, 4, 4074),
+    (M33_TEXT, 6940, 33, 12461),
+    ("+ .\n- +\n. +", 4777, 23, 6325),
+    ("+\n+\n+\n+", 24833, 131, 25730),
 ])
 def test_class_sweep_certifies_members_from_lifted_witnesses(
     monkeypatch, text, searched, rejected, max_passes
@@ -335,9 +355,9 @@ def test_class_sweep_certifies_members_from_lifted_witnesses(
 
 
 @pytest.mark.parametrize("division, x, lifts", [
-    ((1, 3, 5), 1, [(1, 4, 6)]),  # a point at index 1
+    ((1, 3, 5), 1, [(1, 4, 6)]),  # a point of value 1
     ((1, 1, 5), 1, [(1, 1, 6), (1, 2, 6)]),  # at 1, below an empty first part
-    ((1, 3, 5), 5, [(1, 3, 6)]),  # at index n
+    ((1, 3, 5), 5, [(1, 3, 6)]),  # of value n
     ((1, 5, 5), 5, [(1, 5, 6), (1, 6, 6)]),  # at n, with an empty last part
     ((1, 3, 5), 3, [(1, 3, 6), (1, 4, 6)]),  # on a boundary
     ((1, 3, 3, 5), 3, [(1, 3, 3, 6), (1, 4, 4, 6)]),  # on two boundaries
@@ -361,20 +381,16 @@ def test_lifts_are_the_extreme_divisions_that_delete_to_the_witness():
                     assert lifts == sorted({min(preimages), max(preimages)})
 
 
-@pytest.mark.parametrize("on_columns", [True, False])
-def test_hints_lift_each_witness_at_its_deleted_point(on_columns):
-    # Every index and value is a boundary of (1, 2, 3, 4, 5), so each lift
-    # shows where the point went back in.  The deleted point sits at its
-    # index in the child on the columns axis and at its value on the rows.
+def test_hints_lift_each_witness_at_its_deleted_point():
+    # Every value is a boundary of (1, 2, 3, 4, 5), so each lift shows where
+    # the point went back in: at its value, on the rows the walk searches.
     parent, n, every = (3, 1, 4, 2), 5, (1, 2, 3, 4, 5)
     for j in range(n):
-        child = parent[:j] + (n,) + parent[j:]
         lookups = [(p, v, (0, {j - (p < j): every})) for p, v in enumerate(parent)]
         expected = []
         for point in (n,) + parent:
-            x = child.index(point) + 1 if on_columns else point
-            expected += _lifts(every, x, n)
-        assert list(_hints(every, lookups, j, n, on_columns)) == expected, j
+            expected += _lifts(every, point, n)
+        assert list(_hints(every, lookups, j, n)) == expected, j
 
 
 @pytest.mark.parametrize("text, counts", [
@@ -383,7 +399,7 @@ def test_hints_lift_each_witness_at_its_deleted_point(on_columns):
     (M33_TEXT, (1, 2, 6, 22, 87, 347)),
 ])
 def test_class_sweep_hints_are_divisions_of_the_candidate(monkeypatch, text, counts):
-    # Rows axis for DEMO and M33, columns axis for DEMO's transpose.
+    # DEMO's transpose is walked as DEMO, on its two rows.
     m = GridMatrix.parse(text)
     parts = min(m.t, m.u)
 
@@ -398,7 +414,7 @@ def test_class_sweep_hints_are_divisions_of_the_candidate(monkeypatch, text, cou
     assert counting_sequence(m, 6) == counts
 
 
-# Shapes 1x2 to 3x3, so both axes are searched.
+# Shapes 1x2 to 3x3, so some are walked as their transposes.
 @given(matrices(max_t=3, max_u=3).filter(lambda m: m.t * m.u > 1))
 @settings(max_examples=60, deadline=None)
 def test_class_matches_factorial_filter_on_random_matrices(m):
@@ -419,8 +435,8 @@ def test_class_matches_factorial_filter_at_seven(text):
     assert enumerate_class(m, 7) == filter_class(m, 7)
 
 
-# DEMO's transpose and another 2x3: fewer columns than rows, so each child
-# inherits its parent's column divisions.
+# DEMO's transpose and another 2x3: fewer columns than rows, so the walk
+# runs on the 3x2 transpose and returns the inverses of its members.
 @pytest.mark.parametrize("text, counts", [
     ("- +\n. +\n+ .", (1, 2, 6, 20, 67, 221)),
     ("+ .\n- +\n. +", (1, 2, 6, 23, 87, 307)),

@@ -216,16 +216,20 @@ def hinted_searches(draw):
 @settings(max_examples=300, deadline=None)
 def test_witness_hint_never_changes_the_answer(case):
     pi, m, hints = case
-    found = _witness(pi.entries, m, iter(hints))
+    # _witness searches rows of a matrix with t >= u; a matrix with fewer
+    # columns than rows is searched as its transpose, with the inverse.
+    if m.t < m.u:
+        entries, searched = inverse(pi).entries, transpose(m)
+    else:
+        entries, searched = pi.entries, m
+    found = _witness(entries, searched, iter(hints))
     assert (found is not None) == in_grid_class(pi, m)
     if found is not None:
-        # the columns when t < u, else the rows of the transposed problem
+        # rows of the searched matrix and the least columns they admit,
+        # swapped back when the search ran on the transpose
+        rows, cols = found, _least_rows(entries, searched.columns, _bands(found))
         if m.t < m.u:
-            cols = found
-            rows = _least_rows(inverse(pi).entries, transpose(m).columns, _bands(cols))
-        else:
-            rows = found
-            cols = _least_rows(pi.entries, m.columns, _bands(rows))
+            rows, cols = cols, rows
         assert check_gridding(pi, m, Gridding(cols, rows))
 
 
