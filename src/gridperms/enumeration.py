@@ -4,15 +4,15 @@ Two independent pipelines generate class members.  ``enumerate_class``
 walks the insertion tree: grid classes are closed under deletion, so every
 length-n member is a length-(n-1) member with the value n inserted at one
 of its active sites, the indices where that insertion gives a member (as in
-Vatter's generating trees).  The walk keeps each member's active sites with
-the witness row division that admitted each.  An extension goes through the
-gridding search only when each of its other deletions is a member, one
-lookup in the active sites of the parent's deletion per deleted value, so
-the search runs only on members and basis elements.  It tries the parent's
-witness division, then each deletion's, lifted by re-inserting the deleted
-value, and then every division, so no answer depends on the hints.  A
-matrix with fewer columns than rows is walked as its transpose, whose
-members are the inverses of the class's members.
+Vatter's generating trees).  Each level maps its members to the witness row
+division that admitted each, and each member of the level below keeps its
+active sites as a bit mask.  An extension goes through the gridding search
+only when each of its other deletions is a member, one mask lookup per
+deleted value, so the search runs only on members and basis elements.  It
+tries the parent's witness division, then each deletion's, lifted by
+re-inserting the deleted value, and then every division, so no answer
+depends on the hints.  A matrix with fewer columns than rows is walked as
+its transpose, whose members are the inverses of the class's members.
 ``enumerate_via_words`` encodes the lexicographic normal forms of traces:
 letters whose cells share neither a column nor a row commute without
 changing the encoded gridded permutation, so one word per commutation
@@ -22,7 +22,8 @@ through the core that ``encode`` uses and checks it with the cell rule of
 agree; comparing them is the main cross-check this module exists for.
 Both count their unpruned tree's nodes against ``gridding.SEARCH_BUDGET``
 before any work: k! at depth k of the insertion tree, |alphabet| ** k of words.
-The class sweep also admits the gridding search of its longest candidates.
+The class sweep also admits the gridding search of its longest candidates
+on the orientation with fewer columns.
 """
 from __future__ import annotations
 
@@ -37,51 +38,44 @@ from .matrices import GridMatrix
 from .perms import Permutation
 
 
-# The active sites of a member q: a bit mask of the indices j at which
-# inserting q's new maximum gives a member, and the witness division of each;
-# a member is its entries and its witness division.
-Sites = tuple[int, dict[int, tuple[int, ...]]]
-Member = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def _class_levels(matrix: GridMatrix, n_max: int) -> Iterator[list[Member]]:
+def _class_levels(
+    matrix: GridMatrix, n_max: int
+) -> Iterator[dict[tuple[int, ...], tuple[int, ...]]]:
     """The members of lengths 0, 1, ..., n_max of a matrix with t >= u, one
-    list per length of (entries, witness row division) pairs.
+    dict per length from each member's entries to its witness row division.
 
     Level n inserts the value n at every active site of every level-(n-1)
-    member P.  Deleting n from a candidate recovers its parent and position,
-    so no candidate repeats.  The class is closed under deletion, so the
-    candidate with n at index j is a member only if, for each value v of P
-    at index p, deleting v gives a member: j - (p < j) must be an active
-    site of P less v, one table lookup per (P, v).  The gridding search runs
-    only on the candidates that pass, which are the members and the basis
-    elements of length n.  It tries the parent's witness division and each
-    deletion's, lifted to the candidate, before the exhaustive search.
+    member P; ``sites`` keeps them as a bit mask per member.  Deleting n
+    from a candidate recovers its parent and position, so no candidate
+    repeats.  The class is closed under deletion, so the candidate with n at
+    index j is a member only if, for each value v of P at index p, deleting
+    v gives a member: j - (p < j) must be an active site of P less v, one
+    mask lookup per (P, v).  The gridding search runs only on the candidates
+    that pass, which are the members and the basis elements of length n,
+    and tries _hints before the exhaustive search.
     """
     # the empty permutation, gridded with every row empty
-    level = [((), (1,) * (matrix.u + 1))]
-    sites: dict[tuple[int, ...], Sites] = {}
+    level = {(): (1,) * (matrix.u + 1)}
+    sites: dict[tuple[int, ...], int] = {}
     yield level
     for n in range(1, n_max + 1):
-        members, grown = [], {}
-        for parent, division in level:
-            # (index, value, Sites) of each deletion of the parent, whose
-            # site s is open at j = s <= p and at j = s + 1 > p
-            lookups, open_sites = [], (1 << n) - 1
+        members, grown = {}, {}
+        for parent, division in level.items():
+            # site s of the parent's deletion at index p is open at j = s
+            # <= p and at j = s + 1 > p
+            open_sites = (1 << n) - 1
             for p, v in enumerate(parent):
-                active, _ = deleted = sites[tuple([w - (w > v) for w in parent if w != v])]
-                lookups.append((p, v, deleted))
+                active = sites[tuple([w - (w > v) for w in parent if w != v])]
                 open_sites &= (active & ((2 << p) - 1)) | (active >> p << (p + 1))
-            mask, found = 0, {}
+            mask = 0
             for j in range(n):
                 if open_sites >> j & 1:
                     child = parent[:j] + (n,) + parent[j:]
-                    witness = _witness(child, matrix, _hints(division, lookups, j, n))
+                    witness = _witness(child, matrix, _hints(child, division, level))
                     if witness is not None:
                         mask |= 1 << j
-                        found[j] = witness
-                        members.append((child, witness))
-            grown[parent] = (mask, found)
+                        members[child] = witness
+            grown[parent] = mask
         level, sites = members, grown
         yield level
 
@@ -100,21 +94,25 @@ def _lifts(division: tuple[int, ...], x: int, n: int) -> Iterator[tuple[int, ...
 
 
 def _hints(
-    division: tuple[int, ...], lookups: list[tuple[int, int, Sites]], j: int, n: int
+    child: tuple[int, ...], division: tuple[int, ...],
+    level: dict[tuple[int, ...], tuple[int, ...]],
 ) -> Iterator[tuple[int, ...]]:
-    """The divisions the child with n at index j tries first: its parent's
-    witness division lifted at the value n, then each deletion's lifted at
-    its deleted value v."""
+    """The divisions a length-n candidate tries first: its parent's witness
+    division lifted at the value n, then the witness in ``level`` of each
+    other deletion, in index order, lifted at its deleted value v."""
+    n = len(child)
     yield from _lifts(division, n, n)
-    for p, v, (_, witnesses) in lookups:
-        yield from _lifts(witnesses[j - (p < j)], v, n)
+    for v in child:
+        if v != n:
+            yield from _lifts(level[tuple([w - (w > v) for w in child if w != v])], v, n)
 
 
 def _admit_class(matrix: GridMatrix, n_max: int) -> None:
-    """Refuse a sweep whose insertion tree or longest gridding search, on
-    the matrix as given, is over the budget."""
+    """Refuse a sweep whose insertion tree or longest gridding search is
+    over the budget.  Sorting the search's runs counts it on the orientation
+    with fewer columns, as the walk treats a matrix and its transpose alike."""
     _admit(n_max, ((k, 1) for k in range(1, n_max + 1)))
-    _admit(n_max, _gridding_runs(n_max, matrix))
+    _admit(n_max, sorted(_gridding_runs(n_max, matrix)))
 
 
 def enumerate_class(matrix: GridMatrix, n: int) -> set[Permutation]:
@@ -128,9 +126,9 @@ def enumerate_class(matrix: GridMatrix, n: int) -> set[Permutation]:
     _admit_class(matrix, n)
     if matrix.t < matrix.u:
         *_, members = _class_levels(_transpose(matrix), n)
-        return {Permutation(_inverse(entries)) for entries, _ in members}
+        return {Permutation(_inverse(entries)) for entries in members}
     *_, members = _class_levels(matrix, n)
-    return {Permutation(entries) for entries, _ in members}
+    return {Permutation(entries) for entries in members}
 
 
 def _extends_normal_form(word: list[Letter], letter: Letter) -> bool:

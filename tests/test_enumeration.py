@@ -14,6 +14,7 @@ from gridperms import (
     Permutation,
     SignAssignment,
     alphabet,
+    check_gridding,
     counting_sequence,
     encode,
     enumerate_class,
@@ -24,8 +25,8 @@ from gridperms import (
     pattern_of,
 )
 from gridperms.codec import _spell
-from gridperms.enumeration import _hints, _lifts
-from gridperms.gridding import _inverse, _least_rows, _witness
+from gridperms.enumeration import _class_levels, _hints, _lifts
+from gridperms.gridding import _bands, _inverse, _least_rows, _transpose, _witness
 
 from .conftest import DEMO_MATRIX_TEXT
 from .oracles import division_sequences, filter_class, trace_counts, word_images
@@ -122,6 +123,11 @@ M43_TEXT = "+ + + +\n+ + + +\n+ + + +"
 M66_TEXT = "\n".join(["+ . . . . ."] + [". . . . . ."] * 5)
 
 
+def corner(t, u):
+    """A t x u matrix whose only nonzero cell is a + in the bottom-left corner."""
+    return "\n".join([" ".join("." * t)] * (u - 1) + [" ".join("+" + "." * (t - 1))])
+
+
 def decreasing(n):
     return Permutation(tuple(range(n, 0, -1)))
 
@@ -140,8 +146,10 @@ SEARCHES = {
 # Each search's unpruned tree, in nodes: sum of k! for k <= n (insertion
 # tree), sum of |A| ** k for k <= n (words), 1 + C1 + C1 * C2 (find_gridding
 # and the class sweeps' longest search, with C1 and C2 the numbers of column
-# and row divisions), 1 + C + C * n (in_grid_class: C divisions of the axis
-# with p = min(t, u) parts, C = C(n + p - 1, p - 1), each one pass of n steps).
+# and row divisions; the sweeps count the orientation with fewer columns, so
+# 13x2 is admitted as 2x13), 1 + C + C * n (in_grid_class: C divisions of the
+# axis with p = min(t, u) parts, C = C(n + p - 1, p - 1), each one pass of n
+# steps).
 @pytest.mark.parametrize("search, text, admitted, refused", [
     ("enumerate_class", "+", [9], [10]),
     ("counting_sequence", "+", [9], [10]),
@@ -160,6 +168,10 @@ SEARCHES = {
     ("enumerate_class", M66_TEXT, [8], [9]),
     ("counting_sequence", M66_TEXT, [8], [9]),
     ("in_grid_class", "+", [2_999_998], [2_999_999]),
+    ("counting_sequence", corner(13, 2), [9], [10]),
+    ("enumerate_class", corner(17, 1), [9], [10]),
+    ("counting_sequence", corner(14, 2), [8], [9]),
+    ("enumerate_class", corner(18, 1), [8], [9]),
 ])
 def test_search_admission_edges(monkeypatch, search, text, admitted, refused):
     # Stubs make an admitted search stop at once and record any work done.
@@ -384,13 +396,29 @@ def test_lifts_are_the_extreme_divisions_that_delete_to_the_witness():
 def test_hints_lift_each_witness_at_its_deleted_point():
     # Every value is a boundary of (1, 2, 3, 4, 5), so each lift shows where
     # the point went back in: at its value, on the rows the walk searches.
+    # The level holds exactly the child's other deletions.
     parent, n, every = (3, 1, 4, 2), 5, (1, 2, 3, 4, 5)
     for j in range(n):
-        lookups = [(p, v, (0, {j - (p < j): every})) for p, v in enumerate(parent)]
+        child = parent[:j] + (n,) + parent[j:]
+        level = {tuple(w - (w > v) for w in child if w != v): every for v in parent}
         expected = []
         for point in (n,) + parent:
             expected += _lifts(every, point, n)
-        assert list(_hints(every, lookups, j, n)) == expected, j
+        assert list(_hints(child, every, level)) == expected, j
+
+
+# The 1x4 is walked as its 4x1 transpose, as the sweeps walk it.
+@pytest.mark.parametrize("text", [DEMO_MATRIX_TEXT, M33_TEXT, "+ +\n+ +", "+\n+\n+\n+"])
+def test_class_walk_keeps_a_witness_for_every_member(text):
+    m = GridMatrix.parse(text)
+    if m.t < m.u:
+        m = _transpose(m)
+    for level in _class_levels(m, 7):
+        for entries, rows in level.items():
+            # _witness's completion: the least columns for these rows
+            cols = _least_rows(entries, m.columns, _bands(rows))
+            assert cols is not None, entries
+            assert check_gridding(Permutation(entries), m, Gridding(cols, rows)), entries
 
 
 @pytest.mark.parametrize("text, counts", [
