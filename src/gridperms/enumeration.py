@@ -20,19 +20,19 @@ class suffices.  It spells each image on the shared prefix of its words
 through the core that ``encode`` uses and checks it with the cell rule of
 ``check_gridding``.  For matrices whose row-column graph is a forest the two
 agree; comparing them is the main cross-check this module exists for.
-Both count their unpruned tree's nodes against ``gridding.SEARCH_BUDGET``
-before any work: k! at depth k of the insertion tree, |alphabet| ** k of words.
-The class sweep also admits the gridding search of its longest candidates
-on the orientation with fewer columns.
+Both draw on ``gridding.SEARCH_BUDGET``: the word sweep counts |alphabet| ** k
+words at depth k before any work, and the class sweep admits its longest
+candidate's search as ``in_grid_class`` does, then meters its walk's steps.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
 
+from . import gridding
 from .codec import Letter, _spell, alphabet
 from .graphs import SignAssignment
 from .gridding import (
-    _admit, _bands, _bands_valid, _gridding_runs, _inverse, _transpose, _witness,
+    _admit, _bands, _bands_valid, _inverse, _transpose, _witness, _witness_runs,
 )
 from .matrices import GridMatrix
 from .perms import Permutation
@@ -53,7 +53,14 @@ def _class_levels(
     mask lookup per (P, v).  The gridding search runs only on the candidates
     that pass, which are the members and the basis elements of length n,
     and tries _hints before the exhaustive search.
+
+    It admits a length-n_max candidate's search as in_grid_class does, then
+    charges n * n steps per parent at length n (n - 1 deletion lookups of
+    n - 1 entries, and n candidates) and n + u per division _witness tries;
+    the search that takes them past SEARCH_BUDGET raises LimitExceededError.
     """
+    _admit(n_max, _witness_runs(n_max, matrix))
+    budget, steps = gridding.SEARCH_BUDGET, 0
     # the empty permutation, gridded with every row empty
     level = {(): (1,) * (matrix.u + 1)}
     sites: dict[tuple[int, ...], int] = {}
@@ -61,6 +68,7 @@ def _class_levels(
     for n in range(1, n_max + 1):
         members, grown = {}, {}
         for parent, division in level.items():
+            steps += n * n
             # site s of the parent's deletion at index p is open at j = s
             # <= p and at j = s + 1 > p
             open_sites = (1 << n) - 1
@@ -71,7 +79,11 @@ def _class_levels(
             for j in range(n):
                 if open_sites >> j & 1:
                     child = parent[:j] + (n,) + parent[j:]
-                    witness = _witness(child, matrix, _hints(child, division, level))
+                    witness, tried = _witness(child, matrix, _hints(child, division, level))
+                    steps += tried * (n + matrix.u)
+                    if steps > budget:
+                        raise gridding.LimitExceededError(
+                            f"a length-{n_max} sweep took {steps} steps at length {n}")
                     if witness is not None:
                         mask |= 1 << j
                         members[child] = witness
@@ -107,28 +119,16 @@ def _hints(
             yield from _lifts(level[tuple([w - (w > v) for w in child if w != v])], v, n)
 
 
-def _admit_class(matrix: GridMatrix, n_max: int) -> None:
-    """Refuse a sweep whose insertion tree or longest gridding search is
-    over the budget.  Sorting the search's runs counts it on the orientation
-    with fewer columns, as the walk treats a matrix and its transpose alike."""
-    _admit(n_max, ((k, 1) for k in range(1, n_max + 1)))
-    _admit(n_max, sorted(_gridding_runs(n_max, matrix)))
-
-
 def enumerate_class(matrix: GridMatrix, n: int) -> set[Permutation]:
     """All length-n members of the matrix's grid class.
 
     Grows the class length by length through one-point insertions, so the
-    gridding search sees at most n times the previous level.  Lengths past
-    9, and lengths whose gridding search is over the search budget, are
-    refused before any work.
+    gridding search sees at most n times the previous level.  Admitted and
+    metered by the search budget as _class_levels describes.
     """
-    _admit_class(matrix, n)
-    if matrix.t < matrix.u:
-        *_, members = _class_levels(_transpose(matrix), n)
-        return {Permutation(_inverse(entries)) for entries in members}
-    *_, members = _class_levels(matrix, n)
-    return {Permutation(entries) for entries in members}
+    flip = matrix.t < matrix.u
+    *_, members = _class_levels(_transpose(matrix) if flip else matrix, n)
+    return {Permutation(_inverse(entries) if flip else entries) for entries in members}
 
 
 def _extends_normal_form(word: list[Letter], letter: Letter) -> bool:
@@ -199,13 +199,11 @@ def enumerate_via_words(
 def counting_sequence(matrix: GridMatrix, n_max: int) -> tuple[int, ...]:
     """Class sizes at lengths 1..n_max.
 
-    One walk of the insertion tree gives every length.  An n_max that
-    enumerate_class would refuse is refused before any work.
+    One walk of the insertion tree gives every length, limited as in enumerate_class.
 
     >>> counting_sequence(GridMatrix.parse("+ +"), 3)
     (1, 2, 5)
     """
-    _admit_class(matrix, n_max)
     if matrix.t < matrix.u:
         matrix = _transpose(matrix)
     return tuple(len(level) for level in _class_levels(matrix, n_max))[1:]

@@ -232,12 +232,6 @@ def _division_sequences(n: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield (1,) + middle + (n + 1,)
 
 
-def _gridding_runs(n: int, matrix: GridMatrix) -> list[tuple[int, int]]:
-    """The runs of the length-n gridding search tree: one level of column
-    divisions, then one of row divisions under each."""
-    return [(comb(n + parts - 1, parts - 1), 1) for parts in (matrix.t, matrix.u)]
-
-
 def find_gridding(pi: Permutation, matrix: GridMatrix) -> Gridding | None:
     """The lexicographically least valid gridding of pi, or None.
 
@@ -248,7 +242,7 @@ def find_gridding(pi: Permutation, matrix: GridMatrix) -> Gridding | None:
     SEARCH_BUDGET nodes.
     """
     n = len(pi)
-    _admit(n, _gridding_runs(n, matrix))
+    _admit(n, [(comb(n + parts - 1, parts - 1), 1) for parts in (matrix.t, matrix.u)])
     index_of, matrix_rows = _inverse(pi.entries), _transpose(matrix).columns
     for cols in _division_sequences(n, matrix.t):
         col_of = _bands(cols)
@@ -287,25 +281,32 @@ def _transpose(matrix: GridMatrix) -> GridMatrix:
     return GridMatrix(tuple(zip(*matrix.columns)))
 
 
+def _witness_runs(n: int, matrix: GridMatrix) -> Iterator[tuple[int, int]]:
+    """_admit's runs for _witness on a length-n permutation, lazily: one pass
+    of n steps for each division of the axis with fewer divisions."""
+    parts = min(matrix.t, matrix.u)
+    yield comb(n + parts - 1, parts - 1), 1
+    yield 1, n
+
+
 def in_grid_class(pi: Permutation, matrix: GridMatrix) -> bool:
     """Whether pi has any valid gridding for the matrix.
 
-    Admits the tree _witness runs, one _least_rows pass of n steps for each
-    division of the axis with fewer divisions, then runs it on the matrix,
-    or on the inverse of pi and the transpose when t < u.
+    Admits the tree _witness runs, then runs it on the matrix, or on the
+    inverse of pi and the transpose when t < u.
     """
-    n, parts = len(pi), min(matrix.t, matrix.u)
-    _admit(n, [(comb(n + parts - 1, parts - 1), 1), (1, n)])
+    _admit(len(pi), _witness_runs(len(pi), matrix))
     if matrix.t < matrix.u:
-        return _witness(_inverse(pi.entries), _transpose(matrix)) is not None
-    return _witness(pi.entries, matrix) is not None
+        return _witness(_inverse(pi.entries), _transpose(matrix))[0] is not None
+    return _witness(pi.entries, matrix)[0] is not None
 
 
 def _witness(
     entries: tuple[int, ...], matrix: GridMatrix, hints: Iterable[tuple[int, ...]] = ()
-) -> tuple[int, ...] | None:
+) -> tuple[tuple[int, ...] | None, int]:
     """A row division that _least_rows completes to a valid gridding of the
-    permutation pi with these entries for a matrix with t >= u, or None.
+    permutation pi with these entries for a matrix with t >= u, or None,
+    and the number of divisions tried.
 
     ``hints`` are tried before the divisions in lexicographic order, which
     stay exhaustive, so they never change the answer; nothing is admitted.
@@ -314,7 +315,8 @@ def _witness(
     the transpose's rows are the matrix's columns, so _least_rows takes each
     row division of pi as it is.
     """
-    for rows in chain(hints, _division_sequences(len(entries), matrix.u)):
+    divisions, tried = chain(hints, _division_sequences(len(entries), matrix.u)), 0
+    for tried, rows in enumerate(divisions, 1):
         if _least_rows(entries, matrix.columns, _bands(rows)) is not None:
-            return rows
-    return None
+            return rows, tried
+    return None, tried

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -327,6 +328,20 @@ def test_usage_errors_exit_two(capsys, tmp_path, demo_file):
     assert payload["message"]
 
 
+def test_count_reports_the_sweep_meter(capsys, monkeypatch, demo_file):
+    # DEMO's walk takes 6,435 steps through length 6 and passes 10,000 at 7
+    monkeypatch.setattr("gridperms.gridding.SEARCH_BUDGET", 10_000)
+    code, out = run(capsys, "--json", "count", demo_file, "9")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "LIMIT-EXCEEDED"
+    assert re.fullmatch(r"a length-9 sweep took \d+ steps at length 7", payload["message"])
+    assert main(["count", demo_file, "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {payload['message']}\n"
+
+
 def test_count_refuses_negative_length(capsys, demo_file):
     assert run(capsys, "count", demo_file, "-1") == (2, "")
     code, out = run(capsys, "--json", "count", demo_file, "-1")
@@ -394,8 +409,12 @@ def test_main_only_returns_exit_codes(tmp_path_factory, text, data):
     if text is not None:
         path.write_text(text)
     argv = data.draw(cli_argvs(str(path)))
+    # a lower budget keeps the metered sweeps at length 10 short; it still
+    # admits some of them (one cell, say) and refuses others (DEMO)
     with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
+            contextlib.redirect_stderr(io.StringIO()), \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr("gridperms.gridding.SEARCH_BUDGET", 10**5)
         try:
             code = main(argv)
         except SystemExit as exc:

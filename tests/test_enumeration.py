@@ -1,4 +1,5 @@
 import gc
+import re
 import time
 from functools import partial
 from itertools import product
@@ -61,21 +62,36 @@ def test_all_zero_matrix_class_is_empty_past_zero():
     assert enumerate_class(m, 1) == set()
 
 
-def test_factorial_cap():
-    with pytest.raises(LimitExceededError):
-        enumerate_class(GridMatrix.parse("+"), 10)
-    with pytest.raises(ValueError):
-        enumerate_class(GridMatrix.parse("+"), -1)
+def test_one_cell_class_sweep_runs_past_nine():
+    # one member per length: the walk's steps, not n!, decide the limit
+    one_cell = GridMatrix.parse("+")
+    assert enumerate_class(one_cell, 10) == {Permutation(tuple(range(1, 11)))}
+    assert enumerate_class(one_cell, 150) == {Permutation(tuple(range(1, 151)))}
+    assert counting_sequence(one_cell, 150) == (1,) * 150
+
+
+def refuses_before_any_work(monkeypatch, sweep):
+    # in_grid_class's rule on a length-n search of "+": 1 + 1 + n nodes
+    calls = []
+    monkeypatch.setattr(
+        "gridperms.enumeration._witness", lambda *args: calls.append(args) or (None, 0)
+    )
+    for n in (3_000_000, 10**100):
+        start = time.perf_counter()
+        with pytest.raises(LimitExceededError, match="search .* nodes"):
+            sweep(GridMatrix.parse("+"), n)
+        assert time.perf_counter() - start < 0.25, n
+    assert calls == []
+    with pytest.raises(ValueError, match="nonnegative"):
+        sweep(GridMatrix.parse("+"), -1)
 
 
 def test_counting_sequence_refuses_before_any_work(monkeypatch):
-    calls = []
-    monkeypatch.setattr(
-        "gridperms.enumeration._witness", lambda *args: calls.append(args)
-    )
-    with pytest.raises(LimitExceededError):
-        counting_sequence(GridMatrix.parse("+"), 10)
-    assert calls == []
+    refuses_before_any_work(monkeypatch, counting_sequence)
+
+
+def test_enumerate_class_refuses_before_any_work(monkeypatch):
+    refuses_before_any_work(monkeypatch, enumerate_class)
 
 
 def test_counting_sequence_refuses_negative_length():
@@ -83,17 +99,48 @@ def test_counting_sequence_refuses_negative_length():
         counting_sequence(GridMatrix.parse("+"), -1)
 
 
-def test_class_sweep_admits_nine_and_refuses_any_longer(monkeypatch):
-    one_cell = GridMatrix.parse("+")
-    assert enumerate_class(one_cell, 9) == {Permutation(tuple(range(1, 10)))}
-    calls = []
-    monkeypatch.setattr(
-        "gridperms.enumeration._witness", lambda *args: calls.append(args)
+def _walk_steps(m, n_max):
+    """The steps counting_sequence charges on a matrix with t >= u: n * n
+    for each parent at length n, which are the members of length n - 1,
+    and n + u for each division _witness tries at length n."""
+    tried = []
+
+    def recording_witness(entries, matrix, hints=()):
+        found, count = _witness(entries, matrix, hints)
+        tried.append((len(entries), count))
+        return found, count
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("gridperms.enumeration._witness", recording_witness)
+        counts = (1,) + counting_sequence(m, n_max)
+    parents = sum(counts[n - 1] * n * n for n in range(1, n_max + 1))
+    return parents + sum(count * (n + m.u) for n, count in tried)
+
+
+def test_class_sweep_budget(monkeypatch, demo_matrix):
+    steps = _walk_steps(demo_matrix, 6)
+    assert steps == 6435
+    monkeypatch.setattr("gridperms.gridding.SEARCH_BUDGET", steps)
+    assert counting_sequence(demo_matrix, 6) == (1, 2, 6, 20, 67, 221)
+    monkeypatch.setattr("gridperms.gridding.SEARCH_BUDGET", steps - 1)
+    with pytest.raises(LimitExceededError, match="length-6 sweep took 6435 steps"):
+        counting_sequence(demo_matrix, 6)
+
+
+@pytest.mark.parametrize("sweep", [enumerate_class, counting_sequence])
+def test_class_sweep_names_its_length_and_steps(monkeypatch, demo_matrix, sweep):
+    # The walk stops at the search that takes it past the budget, so it
+    # overshoots by at most that search's tries and its parent's n * n.
+    monkeypatch.setattr("gridperms.gridding.SEARCH_BUDGET", 10_000)
+    with pytest.raises(LimitExceededError) as refusal:
+        sweep(demo_matrix, 9)
+    match = re.fullmatch(
+        r"a length-9 sweep took (\d+) steps at length (\d+)", str(refusal.value)
     )
-    for n in (10, 10**100):
-        with pytest.raises(LimitExceededError):
-            enumerate_class(one_cell, n)
-    assert calls == []
+    assert match, str(refusal.value)
+    steps, n = map(int, match.groups())
+    assert n == 7 and _walk_steps(demo_matrix, 6) <= 10_000 < steps
+    assert steps <= 10_000 + n * n + (2 * n + n + 1) * (n + 2)
 
 
 def test_word_sweep_budget(monkeypatch, demo_matrix, demo_signs):
@@ -118,8 +165,8 @@ def test_word_sweep_refuses_at_once(monkeypatch, demo_matrix, demo_signs, n):
 
 M33_TEXT = ". . +\n. - +\n+ + ."
 M43_TEXT = "+ + + +\n+ + + +\n+ + + +"
-# 6x6 with a single nonzero cell: a tiny class whose length-9 gridding
-# search has 1 + 2002 + 2002 ** 2 = 4,010,007 nodes.
+# 6x6 with a single nonzero cell: a tiny class whose length-25 membership
+# search has 1 + C + C * 25 = 3,705,157 nodes, C = C(30, 5) = 142,506.
 M66_TEXT = "\n".join(["+ . . . . ."] + [". . . . . ."] * 5)
 
 
@@ -143,16 +190,17 @@ SEARCHES = {
 }
 
 
-# Each search's unpruned tree, in nodes: sum of k! for k <= n (insertion
-# tree), sum of |A| ** k for k <= n (words), 1 + C1 + C1 * C2 (find_gridding
-# and the class sweeps' longest search, with C1 and C2 the numbers of column
-# and row divisions; the sweeps count the orientation with fewer columns, so
-# 13x2 is admitted as 2x13), 1 + C + C * n (in_grid_class: C divisions of the
-# axis with p = min(t, u) parts, C = C(n + p - 1, p - 1), each one pass of n
-# steps).
+# Each search's unpruned tree, in nodes: sum of |A| ** k for k <= n (words),
+# 1 + C1 + C1 * C2 (find_gridding, with C1 and C2 the numbers of column and
+# row divisions), 1 + C + C * n (in_grid_class and the class sweeps' longest
+# search: C divisions of the axis with p = min(t, u) parts, C = C(n + p - 1,
+# p - 1), each one pass of n steps, so a matrix and its transpose are
+# admitted alike).  The class sweeps also meter their walk, which the stubs
+# stop at once; their one-part rows are admitted at a short length, since
+# the empty levels up to 2,999,998 take over a second to walk.
 @pytest.mark.parametrize("search, text, admitted, refused", [
-    ("enumerate_class", "+", [9], [10]),
-    ("counting_sequence", "+", [9], [10]),
+    ("enumerate_class", "+", [150], [2_999_999, 10**100]),
+    ("counting_sequence", "+", [150], [2_999_999, 10**100]),
     ("enumerate_via_words", DEMO_MATRIX_TEXT, [10], [11]),
     ("enumerate_via_words", "+ +\n+ +", [10], [11]),
     ("enumerate_via_words", M33_TEXT, [9], [10]),
@@ -165,19 +213,21 @@ SEARCHES = {
     ("in_grid_class", DEMO_MATRIX_TEXT, [1731], [1732]),
     ("in_grid_class", M33_TEXT, [180], [181]),
     ("in_grid_class", M43_TEXT, [180], [181, 360]),
-    ("enumerate_class", M66_TEXT, [8], [9]),
-    ("counting_sequence", M66_TEXT, [8], [9]),
+    ("enumerate_class", M66_TEXT, [24], [25]),
+    ("counting_sequence", M66_TEXT, [24], [25]),
     ("in_grid_class", "+", [2_999_998], [2_999_999]),
-    ("counting_sequence", corner(13, 2), [9], [10]),
-    ("enumerate_class", corner(17, 1), [9], [10]),
-    ("counting_sequence", corner(14, 2), [8], [9]),
-    ("enumerate_class", corner(18, 1), [8], [9]),
+    ("counting_sequence", corner(13, 2), [1731], [1732]),
+    ("enumerate_class", corner(17, 1), [150], [2_999_999]),
+    ("counting_sequence", corner(14, 2), [1731], [1732]),
+    ("enumerate_class", corner(18, 1), [150], [2_999_999]),
+    ("enumerate_class", DEMO_MATRIX_TEXT, [1731], [1732]),
+    ("counting_sequence", "- +\n. +\n+ .", [1731], [1732]),
 ])
 def test_search_admission_edges(monkeypatch, search, text, admitted, refused):
     # Stubs make an admitted search stop at once and record any work done.
     calls = []
     for target, result in [
-        ("gridperms.enumeration._witness", None),
+        ("gridperms.enumeration._witness", (None, 0)),
         ("gridperms.enumeration._spell", None),
         ("gridperms.enumeration._extends_normal_form", False),
         ("gridperms.gridding._bands_valid", True),
@@ -313,9 +363,9 @@ def test_class_sweep_searches_only_members_and_basis(monkeypatch, text, basis):
     searched = []
 
     def recording_witness(entries, matrix, hints=()):
-        found = _witness(entries, matrix, hints)
+        found, tried = _witness(entries, matrix, hints)
         searched.append((entries, found is not None))
-        return found
+        return found, tried
 
     monkeypatch.setattr("gridperms.enumeration._witness", recording_witness)
     counts = counting_sequence(m, 7)
@@ -354,8 +404,9 @@ def test_class_sweep_certifies_members_from_lifted_witnesses(
         return _least_rows(*args)
 
     def recording_witness(entries, matrix, hints=()):
-        found.append(_witness(entries, matrix, hints))
-        return found[-1]
+        division, tried = _witness(entries, matrix, hints)
+        found.append(division)
+        return division, tried
 
     monkeypatch.setattr("gridperms.gridding._least_rows", counting_least_rows)
     monkeypatch.setattr("gridperms.enumeration._witness", recording_witness)

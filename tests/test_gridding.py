@@ -222,7 +222,7 @@ def test_witness_hint_never_changes_the_answer(case):
         entries, searched = inverse(pi).entries, transpose(m)
     else:
         entries, searched = pi.entries, m
-    found = _witness(entries, searched, iter(hints))
+    found, _ = _witness(entries, searched, iter(hints))
     assert (found is not None) == in_grid_class(pi, m)
     if found is not None:
         # rows of the searched matrix and the least columns they admit,
@@ -231,6 +231,21 @@ def test_witness_hint_never_changes_the_answer(case):
         if m.t < m.u:
             rows, cols = cols, rows
         assert check_gridding(pi, m, Gridding(cols, rows))
+
+
+@given(hinted_searches())
+@settings(max_examples=100, deadline=None)
+def test_witness_counts_the_divisions_it_tries(case):
+    # the hints, then every division, up to and including the first that
+    # completes; all of them when none does
+    pi, m, hints = case
+    if m.t < m.u:
+        entries, searched = inverse(pi).entries, transpose(m)
+    else:
+        entries, searched = pi.entries, m
+    found, tried = _witness(entries, searched, iter(hints))
+    order = hints + list(_division_sequences(len(pi), searched.u))
+    assert tried == (len(order) if found is None else order.index(found) + 1)
 
 
 @given(permutations(max_n=6), matrices(max_t=3, max_u=3))
