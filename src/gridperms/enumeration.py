@@ -43,6 +43,8 @@ def _class_levels(
 ) -> Iterator[dict[tuple[int, ...], tuple[int, ...]]]:
     """The members of lengths 0, 1, ..., n_max of a matrix with t >= u, one
     dict per length from each member's entries to its witness row division.
+    The class is closed under deletion, so every level after an empty one is
+    empty too, and the walk stops at the first empty level.
 
     Level n inserts the value n at every active site of every level-(n-1)
     member P; ``sites`` keeps them as a bit mask per member.  Deleting n
@@ -90,6 +92,8 @@ def _class_levels(
             grown[parent] = mask
         level, sites = members, grown
         yield level
+        if not level:
+            return
 
 
 def _lifts(division: tuple[int, ...], x: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -199,11 +203,13 @@ def enumerate_via_words(
 def counting_sequence(matrix: GridMatrix, n_max: int) -> tuple[int, ...]:
     """Class sizes at lengths 1..n_max.
 
-    One walk of the insertion tree gives every length, limited as in enumerate_class.
+    One walk of the insertion tree gives every length, limited as in
+    enumerate_class; the lengths after the walk's last level count 0.
 
     >>> counting_sequence(GridMatrix.parse("+ +"), 3)
     (1, 2, 5)
     """
     if matrix.t < matrix.u:
         matrix = _transpose(matrix)
-    return tuple(len(level) for level in _class_levels(matrix, n_max))[1:]
+    counts = tuple(len(level) for level in _class_levels(matrix, n_max))[1:]
+    return counts + (0,) * (n_max - len(counts))

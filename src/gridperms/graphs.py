@@ -8,9 +8,9 @@ a factorization or produces a negative cycle as a witness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Iterable, Sequence
 
+from ._value import Value
 from .matrices import Cell, GridMatrix
 
 Vertex = tuple[str, int]  # ("x", k) for columns, ("y", l) for rows
@@ -24,19 +24,24 @@ class NotPartialMultiplicationError(Exception):
         self.cycle = cycle
 
 
-@dataclass(frozen=True)
-class RowColumnGraph:
+class RowColumnGraph(Value):
     """Bipartite graph with one vertex per column and per row.
 
     Edges are (x-vertex, y-vertex, sign) triples, one per nonzero cell.
     """
 
+    __slots__ = ("vertices", "edges")
     vertices: tuple[Vertex, ...]
     edges: tuple[tuple[Vertex, Vertex, int], ...]
 
+    def __init__(
+        self, vertices: tuple[Vertex, ...], edges: tuple[tuple[Vertex, Vertex, int], ...]
+    ) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
-@dataclass(frozen=True)
-class CellGraph:
+
+class CellGraph(Value):
     """Graph on the nonzero cells of a matrix.
 
     Two cells are adjacent when they share a row or a column with no nonzero
@@ -44,26 +49,36 @@ class CellGraph:
     ``vertices[i]``.
     """
 
+    __slots__ = ("vertices", "labels", "edges")
     vertices: tuple[Cell, ...]
     labels: tuple[int, ...]
     edges: tuple[tuple[Cell, Cell], ...]
+
+    def __init__(
+        self, vertices: tuple[Cell, ...], labels: tuple[int, ...],
+        edges: tuple[tuple[Cell, Cell], ...],
+    ) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "edges", edges)
 
     def label(self, cell: Cell) -> int:
         return self.labels[self.vertices.index(cell)]
 
 
-@dataclass(frozen=True)
-class SignAssignment:
+class SignAssignment(Value):
     """Column signs c_1..c_t and row signs r_1..r_u, all +-1."""
 
+    __slots__ = ("col_signs", "row_signs")
     col_signs: tuple[int, ...]
     row_signs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "col_signs", tuple(self.col_signs))
-        object.__setattr__(self, "row_signs", tuple(self.row_signs))
-        if any(s not in (1, -1) for s in self.col_signs + self.row_signs):
+    def __init__(self, col_signs: Iterable[int], row_signs: Iterable[int]) -> None:
+        col_signs, row_signs = tuple(col_signs), tuple(row_signs)
+        if any(s not in (1, -1) for s in col_signs + row_signs):
             raise ValueError("signs must be +1 or -1")
+        object.__setattr__(self, "col_signs", col_signs)
+        object.__setattr__(self, "row_signs", row_signs)
 
     def verify(self, matrix: GridMatrix) -> bool:
         """Whether every nonzero entry (k, l) equals c_k * r_l."""

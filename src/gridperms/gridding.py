@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement
 from math import comb
 
+from ._value import Value
 from .matrices import Cell, GridMatrix
 from .perms import Permutation
 
@@ -65,28 +65,29 @@ def _admit(n: int, runs: Iterable[tuple[int, int]]) -> None:
             )
 
 
-@dataclass(frozen=True)
-class Gridding:
+class Gridding(Value):
     """Division sequences; ``cols[k-1]`` is c_k and ``rows[l-1]`` is r_l."""
 
+    __slots__ = ("cols", "rows")
     cols: tuple[int, ...]
     rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cols", tuple(int(c) for c in self.cols))
-        object.__setattr__(self, "rows", tuple(int(r) for r in self.rows))
-        for name, divisions in (("cols", self.cols), ("rows", self.rows)):
+    def __init__(self, cols: Iterable[int], rows: Iterable[int]) -> None:
+        cols, rows = tuple(int(c) for c in cols), tuple(int(r) for r in rows)
+        for name, divisions in (("cols", cols), ("rows", rows)):
             if len(divisions) < 2:
                 raise ValueError(f"{name} needs at least two divisions")
             if divisions[0] != 1:
                 raise ValueError(f"{name} must start at 1: {divisions}")
             if any(a > b for a, b in zip(divisions, divisions[1:])):
                 raise ValueError(f"{name} must be weakly increasing: {divisions}")
-        if self.cols[-1] != self.rows[-1]:
+        if cols[-1] != rows[-1]:
             raise ValueError(
                 f"column and row divisions must share the endpoint n+1: "
-                f"{self.cols[-1]} != {self.rows[-1]}"
+                f"{cols[-1]} != {rows[-1]}"
             )
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def t(self) -> int:
@@ -131,20 +132,20 @@ class Gridding:
         return self.format()
 
 
-@dataclass(frozen=True)
-class GriddedPermutation:
+class GriddedPermutation(Value):
     """A permutation with a gridding that is valid for ``matrix``."""
 
+    __slots__ = ("perm", "matrix", "gridding")
     perm: Permutation
     matrix: GridMatrix
     gridding: Gridding
 
-    def __post_init__(self) -> None:
-        if not check_gridding(self.perm, self.matrix, self.gridding):
-            raise ValueError(
-                f"{self.gridding} is not a valid gridding of {self.perm} "
-                f"for the matrix"
-            )
+    def __init__(self, perm: Permutation, matrix: GridMatrix, gridding: Gridding) -> None:
+        if not check_gridding(perm, matrix, gridding):
+            raise ValueError(f"{gridding} is not a valid gridding of {perm} for the matrix")
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "gridding", gridding)
 
     def cell_of(self, index: int) -> Cell:
         """The cell holding the entry at the given index."""

@@ -6,8 +6,9 @@ format, in contrast, is visual: u lines with the top row first.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
+
+from ._value import Value
 
 Cell = tuple[int, int]
 
@@ -15,29 +16,28 @@ _TOKEN_TO_ENTRY = {"0": 0, ".": 0, "1": 1, "+": 1, "-1": -1, "-": -1}
 _ENTRY_TO_TOKEN = {0: ".", 1: "+", -1: "-"}
 
 
-@dataclass(frozen=True)
-class GridMatrix:
+class GridMatrix(Value):
     """A t x u matrix over {0, +1, -1}.
 
     ``columns[k-1][l-1]`` stores entry (k, l); both coordinates are 1-based
     from the bottom-left.
     """
 
+    __slots__ = ("columns",)
     columns: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "columns", tuple(tuple(col) for col in self.columns)
-        )
-        if not self.columns or not self.columns[0]:
+    def __init__(self, columns: Iterable[Iterable[int]]) -> None:
+        columns = tuple(tuple(col) for col in columns)
+        if not columns or not columns[0]:
             raise ValueError("matrix needs at least one column and one row")
-        u = len(self.columns[0])
-        if any(len(col) != u for col in self.columns):
+        u = len(columns[0])
+        if any(len(col) != u for col in columns):
             raise ValueError("ragged matrix columns")
-        for col in self.columns:
+        for col in columns:
             for e in col:
                 if e not in (0, 1, -1):
                     raise ValueError(f"matrix entries must be 0, 1 or -1, got {e}")
+        object.__setattr__(self, "columns", columns)
 
     @property
     def t(self) -> int:

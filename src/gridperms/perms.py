@@ -7,12 +7,12 @@ between threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+
+from ._value import Value
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Value):
     """A permutation of {1, ..., n} in one-line notation.
 
     ``entries`` holds the values pi(1), ..., pi(n).  The empty permutation
@@ -24,13 +24,15 @@ class Permutation:
     0
     """
 
+    __slots__ = ("entries",)
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        n = len(self.entries)
-        if sorted(self.entries) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.entries}")
+    def __init__(self, entries: Iterable[int]) -> None:
+        entries = tuple(entries)
+        n = len(entries)
+        if sorted(entries) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {entries}")
+        object.__setattr__(self, "entries", entries)
 
     def __len__(self) -> int:
         return len(self.entries)

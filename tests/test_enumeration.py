@@ -62,6 +62,15 @@ def test_all_zero_matrix_class_is_empty_past_zero():
     assert enumerate_class(m, 1) == set()
 
 
+def test_class_sweep_stops_at_the_first_empty_level():
+    # every level past an empty one is empty, so no length makes it walk on
+    m = GridMatrix.parse(". .")
+    start = time.perf_counter()
+    assert enumerate_class(m, 2_999_998) == set()
+    assert counting_sequence(m, 2_000_000) == (0,) * 2_000_000
+    assert time.perf_counter() - start < 0.2
+
+
 def test_one_cell_class_sweep_runs_past_nine():
     # one member per length: the walk's steps, not n!, decide the limit
     one_cell = GridMatrix.parse("+")
@@ -196,11 +205,10 @@ SEARCHES = {
 # search: C divisions of the axis with p = min(t, u) parts, C = C(n + p - 1,
 # p - 1), each one pass of n steps, so a matrix and its transpose are
 # admitted alike).  The class sweeps also meter their walk, which the stubs
-# stop at once; their one-part rows are admitted at a short length, since
-# the empty levels up to 2,999,998 take over a second to walk.
+# stop at once: no candidate is a member, and the walk ends at that empty level.
 @pytest.mark.parametrize("search, text, admitted, refused", [
-    ("enumerate_class", "+", [150], [2_999_999, 10**100]),
-    ("counting_sequence", "+", [150], [2_999_999, 10**100]),
+    ("enumerate_class", "+", [2_999_998], [2_999_999, 10**100]),
+    ("counting_sequence", "+", [2_999_998], [2_999_999, 10**100]),
     ("enumerate_via_words", DEMO_MATRIX_TEXT, [10], [11]),
     ("enumerate_via_words", "+ +\n+ +", [10], [11]),
     ("enumerate_via_words", M33_TEXT, [9], [10]),
@@ -217,9 +225,9 @@ SEARCHES = {
     ("counting_sequence", M66_TEXT, [24], [25]),
     ("in_grid_class", "+", [2_999_998], [2_999_999]),
     ("counting_sequence", corner(13, 2), [1731], [1732]),
-    ("enumerate_class", corner(17, 1), [150], [2_999_999]),
+    ("enumerate_class", corner(17, 1), [2_999_998], [2_999_999]),
     ("counting_sequence", corner(14, 2), [1731], [1732]),
-    ("enumerate_class", corner(18, 1), [150], [2_999_999]),
+    ("enumerate_class", corner(18, 1), [2_999_998], [2_999_999]),
     ("enumerate_class", DEMO_MATRIX_TEXT, [1731], [1732]),
     ("counting_sequence", "- +\n. +\n+ .", [1731], [1732]),
 ])

@@ -1,9 +1,22 @@
+import copy
 import doctest
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import gridperms
+from gridperms import (
+    GridMatrix,
+    GriddedPermutation,
+    Gridding,
+    Permutation,
+    SignAssignment,
+    cell_graph,
+    row_column_graph,
+)
 
 
 def test_version_has_one_source():
@@ -29,3 +42,83 @@ def test_readme_tour_and_module_doctests():
     ]
     assert [r.failed for r in results] == [0, 0, 0, 0, 0]
     assert all(r.attempted for r in results)
+
+
+def test_import_loads_no_unused_module():
+    # -S -E: no site hooks or environment, so only the package's own imports count
+    src = str(Path(gridperms.__file__).resolve().parents[1])
+    unused = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import gridperms; "
+        f"print(*sorted({unused!r} & set(sys.modules)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-E", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == []
+
+
+ROW = GridMatrix.parse("+ -")
+
+# One fixed instance of each value type, built afresh by each call: its
+# field names and the repr the dataclasses these replace printed.
+VALUES = {
+    "Permutation": (
+        lambda: Permutation((2, 1, 3)), ("entries",), "Permutation(entries=(2, 1, 3))",
+    ),
+    "GridMatrix": (
+        lambda: GridMatrix.parse("+ -"), ("columns",), "GridMatrix(columns=((1,), (-1,)))",
+    ),
+    "RowColumnGraph": (
+        lambda: row_column_graph(ROW), ("vertices", "edges"),
+        "RowColumnGraph(vertices=(('x', 1), ('x', 2), ('y', 1)), "
+        "edges=((('x', 1), ('y', 1), 1), (('x', 2), ('y', 1), -1)))",
+    ),
+    "CellGraph": (
+        lambda: cell_graph(ROW), ("vertices", "labels", "edges"),
+        "CellGraph(vertices=((1, 1), (2, 1)), labels=(1, -1), edges=(((1, 1), (2, 1)),))",
+    ),
+    "SignAssignment": (
+        lambda: SignAssignment((1, -1), (1,)), ("col_signs", "row_signs"),
+        "SignAssignment(col_signs=(1, -1), row_signs=(1,))",
+    ),
+    "Gridding": (
+        lambda: Gridding((1, 2, 3), (1, 3)), ("cols", "rows"),
+        "Gridding(cols=(1, 2, 3), rows=(1, 3))",
+    ),
+    "GriddedPermutation": (
+        lambda: GriddedPermutation(Permutation((1, 2)), ROW, Gridding((1, 2, 3), (1, 3))),
+        ("perm", "matrix", "gridding"),
+        "GriddedPermutation(perm=Permutation(entries=(1, 2)), "
+        "matrix=GridMatrix(columns=((1,), (-1,))), gridding=Gridding(cols=(1, 2, 3), rows=(1, 3)))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_semantics(name):
+    make, fields, text = VALUES[name]
+    value, twin = make(), make()
+    cls = type(value)
+    assert cls.__name__ == name
+    assert value is not twin and value == twin and not value != twin
+    assert hash(value) == hash(twin) and len({value, twin}) == 1
+    assert repr(value) == text
+    assert cls(**{field: getattr(value, field) for field in fields}) == value
+    for field in fields:
+        held = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, held)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) is held
+    with pytest.raises(AttributeError):
+        value.other = 0
+    assert not hasattr(value, "__dict__")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(value, protocol)) == value
+    assert copy.deepcopy(value) == value and copy.copy(value) == value
+    # same fields, another class: never equal, either way round
+    other = type("Other", (cls,), {"__slots__": ()})(*(getattr(value, f) for f in fields))
+    assert value != other and other != value
+    assert value != tuple(getattr(value, f) for f in fields)
