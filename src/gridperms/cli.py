@@ -44,10 +44,25 @@ def _parse_signs(text: str) -> tuple[int, ...]:
 
 
 def _resolve_signs(matrix: GridMatrix, args: argparse.Namespace) -> SignAssignment:
-    """Signs from the override flags, falling back to find_signs per side."""
+    """Signs from the override flags.  A missing side follows from the other
+    through any nonzero cell of each line, r_l = e(k, l) * c_k and
+    c_k = e(k, l) * r_l; find_signs fills a line with no nonzero cell, and
+    both sides when neither flag is given."""
     found = find_signs(matrix) if None in (args.col_signs, args.row_signs) else None
-    col_signs = found.col_signs if args.col_signs is None else _parse_signs(args.col_signs)
-    row_signs = found.row_signs if args.row_signs is None else _parse_signs(args.row_signs)
+    if args.col_signs is None and args.row_signs is None:
+        return found
+    col_signs = None if args.col_signs is None else _parse_signs(args.col_signs)
+    row_signs = None if args.row_signs is None else _parse_signs(args.row_signs)
+    if row_signs is None:
+        row_signs = tuple(
+            next((e * c for c, e in zip(col_signs, row) if e), r)
+            for r, row in zip(found.row_signs, zip(*matrix.columns))
+        )
+    if col_signs is None:
+        col_signs = tuple(
+            next((e * r for r, e in zip(row_signs, column) if e), c)
+            for c, column in zip(found.col_signs, matrix.columns)
+        )
     return SignAssignment(col_signs, row_signs)
 
 

@@ -105,15 +105,11 @@ def row_column_graph(matrix: GridMatrix) -> RowColumnGraph:
 def cell_graph(matrix: GridMatrix) -> CellGraph:
     """The graph on nonzero cells, adjacent along rows/columns with nothing
     nonzero in between (i.e. consecutive nonzero cells of a line)."""
-    cells = matrix.nonzero_cells()
+    cells = matrix.nonzero_cells()  # by column, then row
     labels = tuple(matrix.entry(k, l) for k, l in cells)
-    edges = []
-    for l in range(1, matrix.u + 1):
-        in_row = [c for c in cells if c[1] == l]
-        edges.extend(zip(in_row, in_row[1:]))
-    for k in range(1, matrix.t + 1):
-        in_col = [c for c in cells if c[0] == k]
-        edges.extend(zip(in_col, in_col[1:]))
+    by_row = sorted(cells, key=lambda cell: (cell[1], cell[0]))
+    edges = [(a, b) for a, b in zip(by_row, by_row[1:]) if a[1] == b[1]]
+    edges += [(a, b) for a, b in zip(cells, cells[1:]) if a[0] == b[0]]
     return CellGraph(cells, labels, tuple(edges))
 
 

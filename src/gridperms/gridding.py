@@ -12,15 +12,18 @@ One band walk, ``_band_start``, decides every cell for ``check_gridding``,
 ``find_gridding`` and ``in_grid_class``: it walks a band's values down from
 its top while each cell's indices keep the order its entry asks for, which
 gives the least start the band can have.  A gridding is valid when each
-band reaches its division.  ``in_grid_class`` chains the walk, through
-``_witness``, into a threshold pass that finds the least row divisions for
-given columns in O(n + t*u) steps; as it needs only existence, it tries
-each row division of a matrix with t >= u.  pi lies in Grid(M) exactly when
-its inverse lies in Grid(M^T), so a request on fewer columns than rows is
-searched once on ``_inverse`` and ``_transpose``.
+band reaches its division.  ``in_grid_class`` needs only existence: its
+``_witness`` tries each row division of pi for a matrix with t >= u, and
+``_least_rows`` chains the walk into a threshold pass that completes the
+division with the least column divisions in O(n + t*u) steps.  pi lies in
+Grid(M) exactly when its inverse lies in Grid(M^T), so a request on fewer
+columns than rows is searched once on ``_inverse`` and ``_transpose``.
 
 Every exhaustive search in the package first admits its unpruned tree: one
-with more than SEARCH_BUDGET nodes raises LimitExceededError before any work.
+with more than SEARCH_BUDGET nodes raises LimitExceededError.  The gridding
+searches and the word sweep are refused before any work; the class sweeps
+in ``enumeration`` also meter their walk's steps, so they are refused after
+bounded work.
 """
 from __future__ import annotations
 

@@ -80,19 +80,10 @@ class GridMatrix(Value):
     def from_rows(cls, rows_top_first: Iterable[Iterable[int]]) -> "GridMatrix":
         """Build from rows in visual orientation (top row first)."""
         rows = [tuple(row) for row in rows_top_first]
-        if not rows or not rows[0]:
-            raise ValueError("matrix needs at least one column and one row")
-        u = len(rows)
-        t = len(rows[0])
-        if any(len(row) != t for row in rows):
+        if any(len(row) != len(rows[0]) for row in rows[1:]):
             raise ValueError("ragged matrix rows")
-        # rows[0] is the top row, i.e. row index u counted from the bottom
-        return cls(
-            tuple(
-                tuple(rows[u - l][k - 1] for l in range(1, u + 1))
-                for k in range(1, t + 1)
-            )
-        )
+        # the top row is row u counted from the bottom
+        return cls(zip(*reversed(rows)))
 
     @classmethod
     def parse(cls, text: str) -> "GridMatrix":
@@ -113,11 +104,8 @@ class GridMatrix(Value):
 
     def format(self) -> str:
         """Render in the text format (top row first, . + - tokens)."""
-        lines = []
-        for l in range(self.u, 0, -1):
-            lines.append(" ".join(_ENTRY_TO_TOKEN[self.columns[k - 1][l - 1]]
-                                  for k in range(1, self.t + 1)))
-        return "\n".join(lines)
+        rows = reversed(list(zip(*self.columns)))  # top row first
+        return "\n".join(" ".join(_ENTRY_TO_TOKEN[e] for e in row) for row in rows)
 
     def __str__(self) -> str:
         return self.format()

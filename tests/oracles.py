@@ -128,6 +128,27 @@ def brute_sign_assignments(matrix):
     ]
 
 
+def cell_graph_edges(matrix):
+    """The cell graph's edges: two nonzero cells are adjacent when they share
+    a line with no nonzero cell strictly between them.  Rows come first,
+    bottom to top, then columns, left to right; within a line the edges go
+    in order along it."""
+    t, u, e = matrix.t, matrix.u, matrix.entry
+    row_edges = [
+        ((a, l), (b, l))
+        for l in range(1, u + 1)
+        for a, b in combinations(range(1, t + 1), 2)
+        if e(a, l) and e(b, l) and not any(e(k, l) for k in range(a + 1, b))
+    ]
+    column_edges = [
+        ((k, a), (k, b))
+        for k in range(1, t + 1)
+        for a, b in combinations(range(1, u + 1), 2)
+        if e(k, a) and e(k, b) and not any(e(k, l) for l in range(a + 1, b))
+    ]
+    return row_edges + column_edges
+
+
 def simple_cycles_with_signs(matrix):
     """All simple cycles of the row-column graph, each with its edge-sign
     product.  Cycles are vertex tuples starting at their least vertex; a

@@ -2,11 +2,14 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
 import time
+from argparse import Namespace
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -14,9 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridperms
-from gridperms.cli import main
+from gridperms import GridMatrix, alphabet
+from gridperms.cli import cmd_encode, main
 
 from .conftest import DEMO_MATRIX_TEXT
+from .oracles import brute_sign_assignments
 from .strategies import permutations
 
 
@@ -99,6 +104,44 @@ def test_encode_with_sign_overrides(capsys, demo_file):
     )
     assert code == 0
     assert out == "136854792 cols=1,3,5,10 rows=1,6,10"
+
+
+def test_encode_with_one_sign_flag(capsys, demo_file):
+    both = run(capsys, "encode", demo_file, "1,1", "2,2",
+               "--col-signs=-1,1,1", "--row-signs=-1,1")
+    assert both == (0, "12 cols=1,2,3,3 rows=1,2,3")
+    assert run(capsys, "encode", demo_file, "1,1", "2,2", "--col-signs=-1,1,1") == both
+    assert run(capsys, "encode", demo_file, "1,1", "2,2", "--row-signs=-1,1") == both
+    # a lone flag that fits no sign assignment is still refused
+    assert main(["encode", demo_file, "1,1", "--col-signs=1,1,1"]) == 2
+    assert main(["encode", demo_file, "1,1", "--row-signs=1,1,1"]) == 2
+    capsys.readouterr()
+
+
+def test_one_sign_flag_gives_the_output_of_both():
+    # every sign assignment of every 2x2 matrix and of random ones up to 3x3,
+    # through the encode handler
+    rng = random.Random(18)
+    shapes = [(2, 2, entries) for entries in product((0, 1, -1), repeat=4)]
+    for _ in range(400):
+        t, u = rng.randint(1, 3), rng.randint(1, 3)
+        shapes.append((t, u, [rng.choice((0, 1, -1)) for _ in range(t * u)]))
+    cases = 0
+    for t, u, entries in shapes:
+        m = GridMatrix([entries[k * u:(k + 1) * u] for k in range(t)])
+        word = [f"{k},{l}" for k, l in sorted(alphabet(m))] * 2
+
+        def encode_with(col_signs=None, row_signs=None):
+            return cmd_encode(m, Namespace(word=word, col_signs=col_signs,
+                                           row_signs=row_signs))
+
+        for col_signs, row_signs in brute_sign_assignments(m):
+            cols, rows = ",".join(map(str, col_signs)), ",".join(map(str, row_signs))
+            both = encode_with(cols, rows)
+            assert encode_with(col_signs=cols) == both, (m, cols)
+            assert encode_with(row_signs=rows) == both, (m, rows)
+            cases += 2
+    assert cases == 3036
 
 
 def test_encode_empty_word(capsys, demo_file):
@@ -320,6 +363,12 @@ def test_usage_errors_exit_two(capsys, tmp_path, demo_file):
     payload = json.loads(out)
     assert payload["error"] == "BAD-INPUT"
     assert "missing.txt" in payload["message"]
+
+    code, out = run(capsys, "--json", "encode", demo_file, "1,1", "--col-signs=1,x")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "BAD-INPUT"
+    assert "cannot parse signs" in payload["message"]
 
     code, out = run(capsys, "--json", "enum", demo_file, "12")
     assert code == 2

@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import pytest
@@ -15,7 +16,7 @@ from gridperms import (
     row_column_graph,
 )
 
-from .oracles import brute_sign_assignments, has_negative_simple_cycle
+from .oracles import brute_sign_assignments, cell_graph_edges, has_negative_simple_cycle
 from .strategies import matrices
 
 FOUR_CYCLE = [("x", 1), ("y", 1), ("x", 2), ("y", 2)]
@@ -71,6 +72,26 @@ def test_cell_graph_skips_nonadjacent_cells():
     # middle cell blocks the ends of the row
     g = cell_graph(GridMatrix.parse("+ + +"))
     assert set(g.edges) == {((1, 1), (2, 1)), ((2, 1), (3, 1))}
+
+
+def test_cell_graph_matches_brute_force_up_to_three_by_three():
+    # all 21,297 matrices with at most three columns and three rows
+    for t, u in product(range(1, 4), repeat=2):
+        for entries in product((0, 1, -1), repeat=t * u):
+            m = GridMatrix([entries[k * u:(k + 1) * u] for k in range(t)])
+            g = cell_graph(m)
+            assert g.vertices == m.nonzero_cells()
+            assert g.labels == tuple(m.entry(k, l) for k, l in g.vertices)
+            assert list(g.edges) == cell_graph_edges(m), m
+
+
+def test_cell_graph_of_a_large_full_matrix_is_fast():
+    m = GridMatrix([(1,) * 300] * 300)
+    start = time.perf_counter()
+    g = cell_graph(m)
+    assert time.perf_counter() - start < 1
+    assert len(g.vertices) == 90_000
+    assert len(g.edges) == 2 * 300 * 299
 
 
 def test_is_forest(demo_matrix, full_plus_matrix):

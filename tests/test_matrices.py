@@ -52,6 +52,15 @@ def test_from_rows_matches_parse():
     assert by_rows == GridMatrix.parse(DEMO_MATRIX_TEXT)
 
 
+def test_from_rows_rejects_empty_and_ragged_rows():
+    for rows in [[], [[]], [[], []]]:
+        with pytest.raises(ValueError, match="at least one column and one row"):
+            GridMatrix.from_rows(rows)
+    for rows in [[[1], []], [[1, 0], [1]], [[], [1]]]:
+        with pytest.raises(ValueError, match="ragged matrix rows"):
+            GridMatrix.from_rows(rows)
+
+
 def test_from_cells_defaults_to_zero():
     m = GridMatrix.from_cells(2, 2, {(1, 2): 1})
     assert m.entry(1, 2) == 1

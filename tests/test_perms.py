@@ -51,9 +51,14 @@ def test_parse_empty():
 
 
 def test_parse_rejects_garbage():
-    for text in ["1 2 x", "11", "10", "1.5 2", "0 1", "2,,1", ",1,2", ","]:
+    for text in ["1 2 x", "11", "10", "12a", "1.5 2", "0 1", "2,,1", ",1,2", ","]:
         with pytest.raises(ValueError):
             Permutation.parse(text)
+
+
+def test_parse_digit_form_stops_at_nine():
+    with pytest.raises(ValueError, match="use separated values"):
+        Permutation.parse("1234567890")
 
 
 def test_str_uses_spaces_past_nine():
