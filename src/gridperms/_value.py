@@ -1,9 +1,10 @@
 """The base of the package's immutable value types.
 
 A subclass names its fields in ``__slots__``, after those of its bases, and
-sets them in ``__init__`` with ``object.__setattr__`` once it has normalised
-and validated its arguments.  It then compares, hashes, prints, pickles and
-copies by those fields, in that order, and refuses assignment and deletion.
+``Value.__init__``, the one place that stores them, takes them in that order
+by position or keyword; a subclass that normalises or validates ends its own
+``__init__`` in ``super().__init__(...)``.  A value compares, hashes, prints,
+pickles and copies by its fields, in order, and refuses assignment and deletion.
 """
 from operator import attrgetter
 
@@ -17,6 +18,20 @@ class Value:
             name for base in reversed(cls.__mro__) for name in vars(base).get("__slots__", ())
         )
         cls._key = attrgetter(*cls.__match_args__)
+
+    def __init__(self, *values: object, **named: object) -> None:
+        names = self.__match_args__
+        if named or len(values) != len(names):
+            # bind as a call would: each field once, by position or keyword
+            given = (*names[: len(values)], *named)
+            if len(values) > len(names) or sorted(given) != sorted(names):
+                raise TypeError(
+                    f"{self.__class__.__qualname__}() takes {', '.join(names)} once each, got "
+                    f"{len(values)} by position and {', '.join(named) or 'none'} by keyword"
+                )
+            values += tuple(named[name] for name in names[len(values):])
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

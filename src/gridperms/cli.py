@@ -189,7 +189,7 @@ def _make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _make_parser().parse_args(argv)
     try:
-        with open(args.matrix_file, encoding="utf-8") as handle:
+        with open(args.matrix_file, encoding="utf-8-sig") as handle:
             matrix = GridMatrix.parse(handle.read())
         code, text, payload = args.handler(matrix, args)
     except NotPartialMultiplicationError as exc:

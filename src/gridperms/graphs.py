@@ -34,12 +34,6 @@ class RowColumnGraph(Value):
     vertices: tuple[Vertex, ...]
     edges: tuple[tuple[Vertex, Vertex, int], ...]
 
-    def __init__(
-        self, vertices: tuple[Vertex, ...], edges: tuple[tuple[Vertex, Vertex, int], ...]
-    ) -> None:
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-
 
 class CellGraph(Value):
     """Graph on the nonzero cells of a matrix.
@@ -53,14 +47,6 @@ class CellGraph(Value):
     vertices: tuple[Cell, ...]
     labels: tuple[int, ...]
     edges: tuple[tuple[Cell, Cell], ...]
-
-    def __init__(
-        self, vertices: tuple[Cell, ...], labels: tuple[int, ...],
-        edges: tuple[tuple[Cell, Cell], ...],
-    ) -> None:
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "edges", edges)
 
     def label(self, cell: Cell) -> int:
         return self.labels[self.vertices.index(cell)]
@@ -77,8 +63,7 @@ class SignAssignment(Value):
         col_signs, row_signs = tuple(col_signs), tuple(row_signs)
         if any(s not in (1, -1) for s in col_signs + row_signs):
             raise ValueError("signs must be +1 or -1")
-        object.__setattr__(self, "col_signs", col_signs)
-        object.__setattr__(self, "row_signs", row_signs)
+        super().__init__(col_signs, row_signs)
 
     def verify(self, matrix: GridMatrix) -> bool:
         """Whether every nonzero entry (k, l) equals c_k * r_l."""

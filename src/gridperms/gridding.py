@@ -27,6 +27,7 @@ bounded work.
 """
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, combinations_with_replacement
@@ -76,7 +77,7 @@ class Gridding(Value):
     rows: tuple[int, ...]
 
     def __init__(self, cols: Iterable[int], rows: Iterable[int]) -> None:
-        cols, rows = tuple(int(c) for c in cols), tuple(int(r) for r in rows)
+        cols, rows = tuple(map(operator.index, cols)), tuple(map(operator.index, rows))
         for name, divisions in (("cols", cols), ("rows", rows)):
             if len(divisions) < 2:
                 raise ValueError(f"{name} needs at least two divisions")
@@ -89,8 +90,7 @@ class Gridding(Value):
                 f"column and row divisions must share the endpoint n+1: "
                 f"{cols[-1]} != {rows[-1]}"
             )
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "rows", rows)
+        super().__init__(cols, rows)
 
     @property
     def t(self) -> int:
@@ -146,9 +146,7 @@ class GriddedPermutation(Value):
     def __init__(self, perm: Permutation, matrix: GridMatrix, gridding: Gridding) -> None:
         if not check_gridding(perm, matrix, gridding):
             raise ValueError(f"{gridding} is not a valid gridding of {perm} for the matrix")
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "gridding", gridding)
+        super().__init__(perm, matrix, gridding)
 
     def cell_of(self, index: int) -> Cell:
         """The cell holding the entry at the given index."""

@@ -37,7 +37,7 @@ class GridMatrix(Value):
             for e in col:
                 if e not in (0, 1, -1):
                     raise ValueError(f"matrix entries must be 0, 1 or -1, got {e}")
-        object.__setattr__(self, "columns", columns)
+        super().__init__(columns)
 
     @property
     def t(self) -> int:

@@ -32,7 +32,7 @@ class Permutation(Value):
         n = len(entries)
         if sorted(entries) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {entries}")
-        object.__setattr__(self, "entries", entries)
+        super().__init__(entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -64,7 +64,7 @@ class Permutation(Value):
         tokens = text.replace(",", " ").split()
         if len(tokens) == 1 and len(tokens[0]) > 1:
             token = tokens[0]
-            if not token.isdigit():
+            if not token.isdecimal():
                 raise ValueError(f"cannot parse permutation from {text!r}")
             if len(token) > 9:
                 raise ValueError(

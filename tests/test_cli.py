@@ -79,6 +79,15 @@ def test_member_decreasing_cell(capsys, tmp_path):
     assert run(capsys, "member", path, "321") == (0, "cols=1,4 rows=1,4")
 
 
+def test_matrix_file_may_start_with_a_byte_order_mark(capsys, tmp_path, demo_file):
+    bom_file = tmp_path / "demo-bom.txt"
+    bom_file.write_bytes(b"\xef\xbb\xbf" + Path(demo_file).read_bytes())
+    for argv in (["signs"], ["member", "136854792"], ["count", "4"]):
+        expected = run(capsys, argv[0], demo_file, *argv[1:])
+        assert expected[0] == 0
+        assert run(capsys, argv[0], str(bom_file), *argv[1:]) == expected
+
+
 def test_grid_check(capsys, demo_file):
     ok = run(capsys, "grid-check", demo_file, "136854792", "cols=1,3,5,10", "rows=1,6,10")
     assert ok == (0, "VALID")

@@ -35,6 +35,17 @@ def test_divisions_validated():
         Gridding((1,), (1,))
 
 
+def test_divisions_must_be_integers():
+    for bad in ((1, 2.7), (1, 2.0), (1, "2")):
+        with pytest.raises(TypeError):
+            Gridding(bad, (1, 2))
+        with pytest.raises(TypeError):
+            Gridding((1, 2), bad)
+    numpy = pytest.importorskip("numpy")
+    g = Gridding((True, numpy.int64(2)), (1, 2))
+    assert g == Gridding((1, 2), (1, 2)) and all(type(c) is int for c in g.cols)
+
+
 def test_shape_properties():
     g = Gridding((1, 3, 5, 10), (1, 6, 10))
     assert (g.t, g.u, g.n) == (3, 2, 9)

@@ -122,3 +122,13 @@ def test_value_semantics(name):
     other = type("Other", (cls,), {"__slots__": ()})(*(getattr(value, f) for f in fields))
     assert value != other and other != value
     assert value != tuple(getattr(value, f) for f in fields)
+    # each field exactly once, by position or keyword; anything else is a TypeError
+    held = [getattr(value, f) for f in fields]
+    for args, kwargs in [
+        (held[:-1], {}),  # one field too few
+        (held + held[:1], {}),  # one too many
+        (held, {"other": held[0]}),  # an unknown keyword
+        (held, {fields[0]: held[0]}),  # a field given twice
+    ]:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)

@@ -54,6 +54,9 @@ def test_parse_rejects_garbage():
     for text in ["1 2 x", "11", "10", "12a", "1.5 2", "0 1", "2,,1", ",1,2", ","]:
         with pytest.raises(ValueError):
             Permutation.parse(text)
+    # a superscript is a digit but not a decimal one: the parser, not int(), refuses it
+    with pytest.raises(ValueError, match="cannot parse permutation from '1²'"):
+        Permutation.parse("1²")
 
 
 def test_parse_digit_form_stops_at_nine():
