@@ -21,8 +21,9 @@ through the core that ``encode`` uses and checks it with the cell rule of
 ``check_gridding``.  For matrices whose row-column graph is a forest the two
 agree; comparing them is the main cross-check this module exists for.
 Both draw on ``gridding.SEARCH_BUDGET``: the word sweep counts |alphabet| ** k
-words at depth k before any work, and the class sweep admits its longest
-candidate's search as ``in_grid_class`` does, then meters its walk's steps.
+words at depth k before any work, and the class sweeps orient and admit
+their longest candidate's search through ``_upright``, as ``in_grid_class``
+does, then meter their walks' steps.
 """
 from __future__ import annotations
 
@@ -31,9 +32,7 @@ from collections.abc import Iterator
 from . import gridding
 from .codec import Letter, _spell, alphabet
 from .graphs import SignAssignment
-from .gridding import (
-    _admit, _bands, _bands_valid, _inverse, _transpose, _witness, _witness_runs,
-)
+from .gridding import _admit, _bands, _bands_valid, _upright, _witness
 from .matrices import GridMatrix
 from .perms import Permutation
 
@@ -56,12 +55,11 @@ def _class_levels(
     that pass, which are the members and the basis elements of length n,
     and tries _hints before the exhaustive search.
 
-    It admits a length-n_max candidate's search as in_grid_class does, then
-    charges n * n steps per parent at length n (n - 1 deletion lookups of
-    n - 1 entries, and n candidates) and n + u per division _witness tries;
-    the search that takes them past SEARCH_BUDGET raises LimitExceededError.
+    Callers orient and admit through _upright.  The walk charges n * n steps
+    per parent at length n (n - 1 deletion lookups of n - 1 entries, and n
+    candidates) and n + u per division _witness tries; the search that takes
+    them past SEARCH_BUDGET raises LimitExceededError.
     """
-    _admit(n_max, _witness_runs(n_max, matrix))
     budget, steps = gridding.SEARCH_BUDGET, 0
     # the empty permutation, gridded with every row empty
     level = {(): (1,) * (matrix.u + 1)}
@@ -130,9 +128,9 @@ def enumerate_class(matrix: GridMatrix, n: int) -> set[Permutation]:
     gridding search sees at most n times the previous level.  Admitted and
     metered by the search budget as _class_levels describes.
     """
-    flip = matrix.t < matrix.u
-    *_, members = _class_levels(_transpose(matrix) if flip else matrix, n)
-    return {Permutation(_inverse(entries) if flip else entries) for entries in members}
+    upright, orient = _upright(n, matrix)
+    *_, members = _class_levels(upright, n)
+    return {Permutation(orient(entries)) for entries in members}
 
 
 def _extends_normal_form(word: list[Letter], letter: Letter) -> bool:
@@ -209,7 +207,6 @@ def counting_sequence(matrix: GridMatrix, n_max: int) -> tuple[int, ...]:
     >>> counting_sequence(GridMatrix.parse("+ +"), 3)
     (1, 2, 5)
     """
-    if matrix.t < matrix.u:
-        matrix = _transpose(matrix)
-    counts = tuple(len(level) for level in _class_levels(matrix, n_max))[1:]
+    levels = _class_levels(_upright(n_max, matrix)[0], n_max)
+    counts = tuple(len(level) for level in levels)[1:]
     return counts + (0,) * (n_max - len(counts))

@@ -8,6 +8,7 @@ a factorization or produces a negative cycle as a witness.
 """
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Sequence
 
 from ._value import Value
@@ -53,14 +54,16 @@ class CellGraph(Value):
 
 
 class SignAssignment(Value):
-    """Column signs c_1..c_t and row signs r_1..r_u, all +-1."""
+    """Column signs c_1..c_t and row signs r_1..r_u, all +-1, stored as
+    ints: any integer type is accepted and anything else raises TypeError."""
 
     __slots__ = ("col_signs", "row_signs")
     col_signs: tuple[int, ...]
     row_signs: tuple[int, ...]
 
     def __init__(self, col_signs: Iterable[int], row_signs: Iterable[int]) -> None:
-        col_signs, row_signs = tuple(col_signs), tuple(row_signs)
+        col_signs = tuple(map(operator.index, col_signs))
+        row_signs = tuple(map(operator.index, row_signs))
         if any(s not in (1, -1) for s in col_signs + row_signs):
             raise ValueError("signs must be +1 or -1")
         super().__init__(col_signs, row_signs)

@@ -16,8 +16,8 @@ band reaches its division.  ``in_grid_class`` needs only existence: its
 ``_witness`` tries each row division of pi for a matrix with t >= u, and
 ``_least_rows`` chains the walk into a threshold pass that completes the
 division with the least column divisions in O(n + t*u) steps.  pi lies in
-Grid(M) exactly when its inverse lies in Grid(M^T), so a request on fewer
-columns than rows is searched once on ``_inverse`` and ``_transpose``.
+Grid(M) exactly when its inverse lies in Grid(M^T): ``_upright`` admits
+every ``_witness`` search and orients it, onto the transpose when t < u.
 
 Every exhaustive search in the package first admits its unpruned tree: one
 with more than SEARCH_BUDGET nodes raises LimitExceededError.  The gridding
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, combinations_with_replacement
 from math import comb
 
@@ -242,6 +242,12 @@ def find_gridding(pi: Permutation, matrix: GridMatrix) -> Gridding | None:
     None means no gridding exists.  Raises LimitExceededError before any
     work when this tree of column and row divisions has more than
     SEARCH_BUDGET nodes.
+
+    >>> m = GridMatrix.parse("- +\\n. +\\n+ .")
+    >>> print(find_gridding(Permutation((3, 1, 4, 2)), m))
+    cols=1,1,5 rows=1,1,3,5
+    >>> print(find_gridding(Permutation((2, 1, 4, 3)), m))
+    None
     """
     n = len(pi)
     _admit(n, [(comb(n + parts - 1, parts - 1), 1) for parts in (matrix.t, matrix.u)])
@@ -283,24 +289,31 @@ def _transpose(matrix: GridMatrix) -> GridMatrix:
     return GridMatrix(tuple(zip(*matrix.columns)))
 
 
-def _witness_runs(n: int, matrix: GridMatrix) -> Iterator[tuple[int, int]]:
-    """_admit's runs for _witness on a length-n permutation, lazily: one pass
-    of n steps for each division of the axis with fewer divisions."""
-    parts = min(matrix.t, matrix.u)
-    yield comb(n + parts - 1, parts - 1), 1
-    yield 1, n
+def _upright(n: int, matrix: GridMatrix) -> tuple[GridMatrix, Callable]:
+    """Admit a length-n _witness search: C = C(n+p-1, p-1) divisions of the
+    axis with p = min(t, u) parts, and a pass of n steps under each.  Give
+    the matrix it runs on, the transpose when t < u, and the map from class
+    members' entries to searched ones: _inverse (its own inverse) or tuple."""
+    # a generator, so that _admit refuses a negative n before comb sees it
+    divisions = ((comb(n + p - 1, p - 1), 1) for p in [min(matrix.t, matrix.u)])
+    _admit(n, chain(divisions, [(1, n)]))
+    if matrix.t < matrix.u:
+        return _transpose(matrix), _inverse
+    return matrix, tuple
 
 
 def in_grid_class(pi: Permutation, matrix: GridMatrix) -> bool:
-    """Whether pi has any valid gridding for the matrix.
+    """Whether pi has any valid gridding for the matrix, which _upright
+    orients for _witness.
 
-    Admits the tree _witness runs, then runs it on the matrix, or on the
-    inverse of pi and the transpose when t < u.
+    >>> m = GridMatrix.parse("- +\\n. +\\n+ .")
+    >>> in_grid_class(Permutation((3, 1, 4, 2)), m)
+    True
+    >>> in_grid_class(Permutation((2, 1, 4, 3)), m)
+    False
     """
-    _admit(len(pi), _witness_runs(len(pi), matrix))
-    if matrix.t < matrix.u:
-        return _witness(_inverse(pi.entries), _transpose(matrix))[0] is not None
-    return _witness(pi.entries, matrix)[0] is not None
+    matrix, orient = _upright(len(pi), matrix)
+    return _witness(orient(pi.entries), matrix)[0] is not None
 
 
 def _witness(

@@ -6,6 +6,7 @@ format, in contrast, is visual: u lines with the top row first.
 """
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Mapping
 
 from ._value import Value
@@ -20,14 +21,15 @@ class GridMatrix(Value):
     """A t x u matrix over {0, +1, -1}.
 
     ``columns[k-1][l-1]`` stores entry (k, l); both coordinates are 1-based
-    from the bottom-left.
+    from the bottom-left.  Entries are stored as ints: any integer type is
+    accepted and anything else raises TypeError.
     """
 
     __slots__ = ("columns",)
     columns: tuple[tuple[int, ...], ...]
 
     def __init__(self, columns: Iterable[Iterable[int]]) -> None:
-        columns = tuple(tuple(col) for col in columns)
+        columns = tuple(tuple(map(operator.index, col)) for col in columns)
         if not columns or not columns[0]:
             raise ValueError("matrix needs at least one column and one row")
         u = len(columns[0])

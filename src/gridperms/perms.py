@@ -7,6 +7,7 @@ between threads.
 """
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 
 from ._value import Value
@@ -15,8 +16,9 @@ from ._value import Value
 class Permutation(Value):
     """A permutation of {1, ..., n} in one-line notation.
 
-    ``entries`` holds the values pi(1), ..., pi(n).  The empty permutation
-    (n = 0) is allowed.
+    ``entries`` holds the values pi(1), ..., pi(n), stored as ints: any
+    integer type is accepted and anything else raises TypeError.  The empty
+    permutation (n = 0) is allowed.
 
     >>> Permutation((2, 1, 3))
     Permutation(entries=(2, 1, 3))
@@ -28,7 +30,7 @@ class Permutation(Value):
     entries: tuple[int, ...]
 
     def __init__(self, entries: Iterable[int]) -> None:
-        entries = tuple(entries)
+        entries = tuple(map(operator.index, entries))
         n = len(entries)
         if sorted(entries) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {entries}")

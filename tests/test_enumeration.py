@@ -80,19 +80,21 @@ def test_one_cell_class_sweep_runs_past_nine():
 
 
 def refuses_before_any_work(monkeypatch, sweep):
-    # in_grid_class's rule on a length-n search of "+": 1 + 1 + n nodes
+    # in_grid_class's rule on a length-n search of "+", and of its
+    # transpose "+" over "+", which is walked as "+": 1 + 1 + n nodes
     calls = []
     monkeypatch.setattr(
         "gridperms.enumeration._witness", lambda *args: calls.append(args) or (None, 0)
     )
-    for n in (3_000_000, 10**100):
-        start = time.perf_counter()
-        with pytest.raises(LimitExceededError, match="search .* nodes"):
-            sweep(GridMatrix.parse("+"), n)
-        assert time.perf_counter() - start < 0.25, n
-    assert calls == []
-    with pytest.raises(ValueError, match="nonnegative"):
-        sweep(GridMatrix.parse("+"), -1)
+    for text in ("+", "+\n+"):
+        for n in (3_000_000, 10**100):
+            start = time.perf_counter()
+            with pytest.raises(LimitExceededError, match="search .* nodes"):
+                sweep(GridMatrix.parse(text), n)
+            assert time.perf_counter() - start < 0.25, (text, n)
+        assert calls == []
+        with pytest.raises(ValueError, match="nonnegative"):
+            sweep(GridMatrix.parse(text), -1)
 
 
 def test_counting_sequence_refuses_before_any_work(monkeypatch):
@@ -230,6 +232,8 @@ SEARCHES = {
     ("enumerate_class", corner(18, 1), [2_999_998], [2_999_999]),
     ("enumerate_class", DEMO_MATRIX_TEXT, [1731], [1732]),
     ("counting_sequence", "- +\n. +\n+ .", [1731], [1732]),
+    ("enumerate_class", "- +\n. +\n+ .", [1731], [1732]),
+    ("in_grid_class", "- +\n. +\n+ .", [1731], [1732]),
 ])
 def test_search_admission_edges(monkeypatch, search, text, admitted, refused):
     # Stubs make an admitted search stop at once and record any work done.

@@ -148,6 +148,19 @@ def test_sign_assignment_verify(demo_matrix, demo_signs):
     assert not demo_signs.verify(GridMatrix.parse("+"))  # wrong shape
 
 
+def test_signs_must_be_integers():
+    for cols, rows in [((True,), (1.0,)), ((-1.0,), (1,)), (("1",), (1,))]:
+        with pytest.raises(TypeError):
+            SignAssignment(cols, rows)
+    numpy = pytest.importorskip("numpy")
+    signs = SignAssignment((True,), (numpy.int64(-1),))
+    assert signs == SignAssignment((1,), (-1,))
+    assert all(type(s) is int for s in signs.col_signs + signs.row_signs)
+    # signs found for a matrix built from other integer types are ints too
+    found = find_signs(GridMatrix(((numpy.int64(1),), (True,))))
+    assert all(type(s) is int for s in found.col_signs + found.row_signs)
+
+
 @given(matrices(max_t=3, max_u=3))
 @settings(max_examples=200)
 def test_verify_agrees_with_exhaustion(m):

@@ -42,6 +42,15 @@ def test_entries_limited_to_signs_and_zero():
         GridMatrix(((1,), (1, 0)))
 
 
+def test_entries_must_be_integers():
+    for bad in (((1.0, True),), ((1,), (-1.0,)), (("+",),)):
+        with pytest.raises(TypeError):
+            GridMatrix(bad)
+    numpy = pytest.importorskip("numpy")
+    m = GridMatrix(((numpy.int8(-1), True),))
+    assert m == GridMatrix(((-1, 1),)) and all(type(e) is int for e in m.columns[0])
+
+
 def test_format_is_visual_orientation():
     assert GridMatrix.parse(DEMO_MATRIX_TEXT).format() == ". + +\n+ . -"
     assert str(GridMatrix.from_cells(1, 1, {(1, 1): -1})) == "-"

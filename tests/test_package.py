@@ -39,8 +39,9 @@ def test_readme_tour_and_module_doctests():
         doctest.testmod(gridperms.codec),
         doctest.testmod(gridperms.enumeration),
         doctest.testmod(gridperms.graphs),
+        doctest.testmod(gridperms.gridding),
     ]
-    assert [r.failed for r in results] == [0, 0, 0, 0, 0]
+    assert [r.failed for r in results] == [0, 0, 0, 0, 0, 0]
     assert all(r.attempted for r in results)
 
 

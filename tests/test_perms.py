@@ -27,6 +27,17 @@ def test_entries_must_be_a_permutation():
         Permutation((1, 1, 2))
 
 
+def test_entries_must_be_integers():
+    # a float equal to an integer would print as "2.01" and break the searches
+    for bad in ((2.0, 1), (2, 1.5), ("1",)):
+        with pytest.raises(TypeError):
+            Permutation(bad)
+    numpy = pytest.importorskip("numpy")
+    pi = Permutation((numpy.int64(2), True))
+    assert pi == Permutation((2, 1)) and all(type(v) is int for v in pi.entries)
+    assert str(pi) == "21"
+
+
 def test_empty_permutation_is_allowed():
     assert len(Permutation(())) == 0
     assert str(Permutation(())) == "empty"
