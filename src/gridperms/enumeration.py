@@ -17,9 +17,11 @@ its transpose, whose members are the inverses of the class's members.
 letters whose cells share neither a column nor a row commute without
 changing the encoded gridded permutation, so one word per commutation
 class suffices.  It spells each image on the shared prefix of its words
-through the core that ``encode`` uses and checks it with the cell rule of
-``check_gridding``.  For matrices whose row-column graph is a forest the two
-agree; comparing them is the main cross-check this module exists for.
+through the core that ``encode`` uses.  It checks each distinct image once,
+with the cell rule of ``check_gridding``, when it first spells it, and
+returns the ``Permutation`` it builds then.  For matrices whose row-column
+graph is a forest the two agree; comparing them is the main cross-check
+this module exists for.
 Both draw on ``gridding.SEARCH_BUDGET``: the word sweep counts |alphabet| ** k
 words at depth k before any work, and the class sweeps orient and admit
 their longest candidate's search through ``_upright``, as ``in_grid_class``
@@ -30,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from . import gridding
-from .codec import Letter, _spell, alphabet
+from .codec import Letter, _spell
 from .graphs import SignAssignment
 from .gridding import _admit, _bands, _bands_valid, _upright, _witness
 from .matrices import GridMatrix
@@ -157,16 +159,16 @@ def enumerate_via_words(
 
     Words equal up to commuting letters encode the same gridded
     permutation, so only the lexicographic trace normal forms are encoded;
-    the image set is that of all |alphabet| ** n words.  Signs that do not
-    match the matrix, and lengths whose word tree is over the search budget,
-    are refused before any work.
+    the image set is that of all |alphabet| ** n words.  Each distinct
+    image is checked with the cell rule and built when first spelled.  Signs
+    that do not match the matrix, and lengths whose word tree is over the
+    search budget, are refused before any work.
     """
     if not signs.verify(matrix):
         raise ValueError("sign assignment does not match the matrix")
-    letters = sorted(alphabet(matrix))
+    letters = matrix.nonzero_cells()
     _admit(n, [(len(letters), n)])
-    images: set[tuple[int, ...]] = set()
-    band_of: dict[tuple[int, ...], list[int]] = {}
+    images: dict[tuple[int, ...], Permutation] = {}
     # Depth-first with an explicit stack, so long words cannot exhaust the
     # recursion limit; entries (depth, letter) extend one shared prefix,
     # whose letter positions by_column and by_row keep for _spell.
@@ -177,16 +179,16 @@ def enumerate_via_words(
     while True:
         if len(word) == n:
             entries, cols, rows = _spell(by_column, by_row, signs, n)
-            if rows not in band_of:
-                band_of[rows] = _bands(rows)
-            # the cell rule check_gridding runs, so every image is certified
-            if not _bands_valid(entries, matrix.columns, band_of[rows], cols):
-                raise ValueError(f"{entries} has no valid gridding {cols} x {rows}")
-            images.add(entries)
+            # the cell rule check_gridding runs, on each image's first spelling
+            if entries not in images:
+                if not _bands_valid(entries, matrix.columns, _bands(rows), cols):
+                    raise ValueError(f"{entries} has no valid gridding {cols} x {rows}")
+                image = Permutation(entries)
+                images[image.entries] = image
         else:
             stack += [(len(word), x) for x in letters if _extends_normal_form(word, x)]
         if not stack:
-            return {Permutation(entries) for entries in images}
+            return set(images.values())
         depth, letter = stack.pop()
         while len(word) > depth:
             k, l = word.pop()

@@ -19,11 +19,12 @@ division with the least column divisions in O(n + t*u) steps.  pi lies in
 Grid(M) exactly when its inverse lies in Grid(M^T): ``_upright`` admits
 every ``_witness`` search and orients it, onto the transpose when t < u.
 
-Every exhaustive search in the package first admits its unpruned tree: one
-with more than SEARCH_BUDGET nodes raises LimitExceededError.  The gridding
-searches and the word sweep are refused before any work; the class sweeps
-in ``enumeration`` also meter their walk's steps, so they are refused after
-bounded work.
+The gridding searches and the three sweeps in ``enumeration`` first admit
+their unpruned tree: one with more than SEARCH_BUDGET nodes raises
+LimitExceededError.  The gridding searches and the word sweep are refused
+before any work; the class sweeps also meter their walk's steps, so they
+are refused after bounded work.  Pattern containment (``perms.contains``)
+is the one exhaustive search without a budget.
 """
 from __future__ import annotations
 
@@ -45,13 +46,14 @@ class LimitExceededError(Exception):
 
 
 def _admit(n: int, runs: Iterable[tuple[int, int]]) -> None:
-    """Refuse a negative length, or a length-n search whose unpruned tree
-    has more than SEARCH_BUDGET nodes.  ``runs`` lists the tree's levels from
-    the root down as (width, depth): depth levels whose nodes each have width
-    children.  Unit widths are counted at once and other runs stop once the
-    count passes the budget or a level is empty, so any n is decided at once.
+    """Refuse a length that is not an integer or is negative, or a length-n
+    search whose unpruned tree has more than SEARCH_BUDGET nodes.  ``runs``
+    lists the tree's levels from the root down as (width, depth): depth
+    levels whose nodes each have width children.  Unit widths are counted at
+    once and other runs stop once the count passes the budget or a level is
+    empty, so any n is decided at once.
     """
-    if n < 0:
+    if operator.index(n) < 0:
         raise ValueError(f"length must be nonnegative: {n}")
     nodes = level = 1
     for width, depth in runs:

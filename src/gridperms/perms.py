@@ -109,6 +109,8 @@ def containment_witness(
     breaks an order relation with an already-chosen entry, so the first
     complete assignment found is the lexicographically least witness.  The
     chosen indices are the stack, so no pattern length hits a recursion limit.
+    The search has no budget yet: it is neither admitted nor metered, and
+    its backtracking can take exponential time when sigma is absent.
     """
     n, k = len(pi), len(sigma)
     p = pi.entries

@@ -1,12 +1,17 @@
 import gc
+import os
 import re
+import subprocess
+import sys
 import time
 from functools import partial
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import gridperms
 from gridperms import (
     GriddedPermutation,
     Gridding,
@@ -27,7 +32,7 @@ from gridperms import (
 )
 from gridperms.codec import _spell
 from gridperms.enumeration import _class_levels, _hints, _lifts
-from gridperms.gridding import _bands, _inverse, _least_rows, _transpose, _witness
+from gridperms.gridding import _bands, _bands_valid, _inverse, _least_rows, _transpose, _witness
 
 from .conftest import DEMO_MATRIX_TEXT
 from .oracles import division_sequences, filter_class, trace_counts, word_images
@@ -257,6 +262,40 @@ def test_search_admission_edges(monkeypatch, search, text, admitted, refused):
             run()
         assert time.perf_counter() - start < 0.25, n
     assert calls == []
+
+
+# A sweep of the one-cell matrix, whose word tree has unit width, at a
+# length that is not an integer: its walk never reaches len(word) == n, so
+# each runs in a fresh process under a timeout.
+NON_INTEGER_SWEEP = """
+import time
+from fractions import Fraction
+from gridperms import GridMatrix, counting_sequence, enumerate_class, enumerate_via_words, find_signs
+one_cell = GridMatrix.parse("+")
+sweep = {{
+    "enumerate_class": lambda n: enumerate_class(one_cell, n),
+    "counting_sequence": lambda n: counting_sequence(one_cell, n),
+    "enumerate_via_words": lambda n: enumerate_via_words(one_cell, find_signs(one_cell), n),
+}}[{search!r}]
+start = time.perf_counter()
+try:
+    sweep({n})
+except TypeError:
+    print(time.perf_counter() - start)
+"""
+
+
+@pytest.mark.parametrize("n", ["2.5", "Fraction(5, 2)"])
+@pytest.mark.parametrize("search", ["enumerate_class", "counting_sequence", "enumerate_via_words"])
+def test_sweeps_refuse_non_integer_length(search, n):
+    src = Path(gridperms.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", NON_INTEGER_SWEEP.format(search=search, n=n)],
+        capture_output=True, text=True, timeout=4,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert 0 <= float(proc.stdout) < 0.25
 
 
 def test_class_sweep_at_eight_on_three_by_three():
@@ -604,6 +643,19 @@ def test_word_sweep_certifies_every_image(monkeypatch):
     one_cell = GridMatrix.parse("+")
     with pytest.raises(ValueError, match="no valid gridding"):
         enumerate_via_words(one_cell, SignAssignment((1,), (1,)), 2)
+
+
+def test_word_sweep_checks_each_image_once(monkeypatch, demo_matrix, demo_signs):
+    # 1,093 normal forms spell the 221 images of length 6
+    checks = []
+
+    def counting_check(*args):
+        checks.append(None)
+        return _bands_valid(*args)
+
+    monkeypatch.setattr("gridperms.enumeration._bands_valid", counting_check)
+    images = enumerate_via_words(demo_matrix, demo_signs, 6)
+    assert len(images) == len(checks) == 221
 
 
 def test_word_sweep_does_not_recurse():
