@@ -120,6 +120,22 @@ def _spell(
     return entries, tuple(cols), tuple(rows)
 
 
+def _extend(spelled: tuple[tuple[int, ...], ...], letter: Letter,
+            signs: SignAssignment) -> tuple[tuple[int, ...], ...]:
+    """What ``_spell`` gives for a word with the letter (k, l) appended, given
+    what it gives for the word.  The newest entry of column k ends it (c_k =
+    +1) or starts it and tops row l (r_l = +1) or bottoms it; values at or
+    above its own move up one, and divisions after k and after l grow by one."""
+    entries, cols, rows = spelled
+    k, l = letter
+    index = cols[k] if signs.col_signs[k - 1] == 1 else cols[k - 1]
+    value = rows[l] if signs.row_signs[l - 1] == 1 else rows[l - 1]
+    grown = [e + (e >= value) for e in entries]
+    grown.insert(index - 1, value)
+    return (tuple(grown), cols[:k] + tuple([b + 1 for b in cols[k:]]),
+            rows[:l] + tuple([b + 1 for b in rows[l:]]))
+
+
 def subword_leq(v: Word, w: Word) -> bool:
     """Whether v occurs in w as a not-necessarily-contiguous subword."""
     it = iter(w)

@@ -15,13 +15,14 @@ depends on the hints.  A matrix with fewer columns than rows is walked as
 its transpose, whose members are the inverses of the class's members.
 ``enumerate_via_words`` encodes the lexicographic normal forms of traces:
 letters whose cells share neither a column nor a row commute without
-changing the encoded gridded permutation, so one word per commutation
-class suffices.  It spells each image on the shared prefix of its words
-through the core that ``encode`` uses.  It checks each distinct image once,
-with the cell rule of ``check_gridding``, when it first spells it, and
-returns the ``Permutation`` it builds then.  For matrices whose row-column
-graph is a forest the two agree; comparing them is the main cross-check
-this module exists for.
+changing the encoded gridded permutation, so one word per commutation class
+suffices.  A mask of the letters barred after each prefix admits a letter in
+one test.  Each length-(n-1) normal form is spelled once, through the core
+that ``encode`` uses, and each length-n one by one insertion.  Each distinct
+image is checked once, with the cell rule of ``check_gridding``, when first
+spelled, and built then.  For matrices whose row-column graph is a forest
+the two agree; comparing them is the main cross-check this module exists
+for.
 Both draw on ``gridding.SEARCH_BUDGET``: the word sweep counts |alphabet| ** k
 words at depth k before any work, and the class sweeps orient and admit
 their longest candidate's search through ``_upright``, as ``in_grid_class``
@@ -32,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from . import gridding
-from .codec import Letter, _spell
+from .codec import Letter, _extend, _spell
 from .graphs import SignAssignment
 from .gridding import _admit, _bands, _bands_valid, _upright, _witness
 from .matrices import GridMatrix
@@ -135,21 +136,15 @@ def enumerate_class(matrix: GridMatrix, n: int) -> set[Permutation]:
     return {Permutation(orient(entries)) for entries in members}
 
 
-def _extends_normal_form(word: list[Letter], letter: Letter) -> bool:
-    """Whether appending the letter to a lexicographic trace normal form
-    gives another one.
-
-    The letter could move left past every trailing letter it commutes with
-    (shares neither column nor row with); the word is a normal form only if
-    none of those is greater than it (Anisimov-Knuth).
-    """
-    k, l = letter
-    for other in reversed(word):
-        if other[0] == k or other[1] == l:
-            return True
-        if other > letter:
-            return False
-    return True
+def _trace_masks(letters: tuple[Letter, ...]) -> list[tuple[Letter, int, int, int]]:
+    """Per letter a, in order, (a, bit, below, commute): a's bit and the masks
+    of the letters less than a and of those sharing neither its column nor
+    its row.  A letter that could move left past a greater one may not follow
+    a lexicographic trace normal form (Anisimov-Knuth), so appending a turns
+    the mask ``blocked`` of such letters into (blocked | below) & commute."""
+    return [((k, l), 1 << i, (1 << i) - 1,
+             sum(1 << j for j, (x, y) in enumerate(letters) if x != k and y != l))
+            for i, (k, l) in enumerate(letters)]
 
 
 def enumerate_via_words(
@@ -159,37 +154,45 @@ def enumerate_via_words(
 
     Words equal up to commuting letters encode the same gridded
     permutation, so only the lexicographic trace normal forms are encoded;
-    the image set is that of all |alphabet| ** n words.  Each distinct
-    image is checked with the cell rule and built when first spelled.  Signs
-    that do not match the matrix, and lengths whose word tree is over the
-    search budget, are refused before any work.
+    the image set is that of all |alphabet| ** n words.  Masks admit each
+    next letter in one test (_trace_masks); each length-(n - 1) normal form
+    is spelled once and each length-n one by one insertion (_extend).  Each
+    distinct image is checked with the cell rule and built when first
+    spelled.  Signs that do not match the matrix, and lengths whose word
+    tree is over the search budget, are refused before any work.
     """
     if not signs.verify(matrix):
         raise ValueError("sign assignment does not match the matrix")
     letters = matrix.nonzero_cells()
     _admit(n, [(len(letters), n)])
+    masks = _trace_masks(letters)
     images: dict[tuple[int, ...], Permutation] = {}
     # Depth-first with an explicit stack, so long words cannot exhaust the
-    # recursion limit; entries (depth, letter) extend one shared prefix,
-    # whose letter positions by_column and by_row keep for _spell.
+    # recursion limit; entries (depth, letter, blocked) extend one shared
+    # prefix, whose letter positions by_column and by_row keep for _spell.
     word: list[Letter] = []
     by_column: list[list[int]] = [[] for _ in range(matrix.t)]
     by_row: list[list[int]] = [[] for _ in range(matrix.u)]
-    stack: list[tuple[int, Letter]] = []
+    stack: list[tuple[int, Letter, int]] = []
+    depth = blocked = 0
     while True:
-        if len(word) == n:
-            entries, cols, rows = _spell(by_column, by_row, signs, n)
-            # the cell rule check_gridding runs, on each image's first spelling
-            if entries not in images:
-                if not _bands_valid(entries, matrix.columns, _bands(rows), cols):
-                    raise ValueError(f"{entries} has no valid gridding {cols} x {rows}")
-                image = Permutation(entries)
-                images[image.entries] = image
+        if depth < n - 1:
+            stack += [(depth, letter, (blocked | below) & commute)
+                      for letter, bit, below, commute in masks if not blocked & bit]
         else:
-            stack += [(len(word), x) for x in letters if _extends_normal_form(word, x)]
+            spelled = _spell(by_column, by_row, signs, depth)
+            leaves = [_extend(spelled, letter, signs) for letter, bit, _, _ in masks
+                      if not blocked & bit] if n else [spelled]
+            for entries, cols, rows in leaves:
+                # the cell rule check_gridding runs, on each image's first spelling
+                if entries not in images:
+                    if not _bands_valid(entries, matrix.columns, _bands(rows), cols):
+                        raise ValueError(f"{entries} has no valid gridding {cols} x {rows}")
+                    image = Permutation(entries)
+                    images[image.entries] = image
         if not stack:
             return set(images.values())
-        depth, letter = stack.pop()
+        depth, letter, blocked = stack.pop()
         while len(word) > depth:
             k, l = word.pop()
             by_column[k - 1].pop()
@@ -198,6 +201,7 @@ def enumerate_via_words(
         by_column[k - 1].append(depth)
         by_row[l - 1].append(depth)
         word.append(letter)
+        depth += 1
 
 
 def counting_sequence(matrix: GridMatrix, n_max: int) -> tuple[int, ...]:

@@ -1,7 +1,7 @@
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridperms import (
@@ -17,15 +17,17 @@ from gridperms import (
     encode,
     find_signs,
     format_word,
+    has_negative_cycle,
     parse_word,
     pattern_of,
     row_col_orders,
     subword_leq,
 )
+from gridperms.codec import _extend, _spell
 
 from .conftest import DEMO_MATRIX_TEXT, DEMO_WORD_TEXT
 from .oracles import brute_griddings, brute_sign_assignments, least_index_replay
-from .strategies import words_over
+from .strategies import matrices, words_over
 
 DEMO = GridMatrix.parse(DEMO_MATRIX_TEXT)
 ONE_ROW = GridMatrix.parse("+ +")
@@ -106,6 +108,24 @@ def test_encode_cells_and_counts(data):
         assert len(values) == word.count(cell)
         expected = sorted(values, reverse=m.entry(*cell) == -1)
         assert values == expected
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_extend_spells_the_word_with_its_last_letter(data):
+    # the word sweep's leaves: one insertion into the spelling of the prefix
+    m = data.draw(matrices())
+    assume(not has_negative_cycle(m))
+    word = data.draw(words_over(m))
+    assume(word)
+    signs = find_signs(m)
+    negated = SignAssignment([-c for c in signs.col_signs], [-r for r in signs.row_signs])
+    by_column = [[j for j, (k, _) in enumerate(word[:-1]) if k == col] for col in range(1, m.t + 1)]
+    by_row = [[j for j, (_, l) in enumerate(word[:-1]) if l == row] for row in range(1, m.u + 1)]
+    for s in (signs, negated):
+        gp = encode(m, s, word)
+        spelled = _extend(_spell(by_column, by_row, s, len(word) - 1), word[-1], s)
+        assert spelled == (gp.perm.entries, gp.gridding.cols, gp.gridding.rows)
 
 
 # subword order

@@ -30,7 +30,7 @@ from gridperms import (
     in_grid_class,
     pattern_of,
 )
-from gridperms.codec import _spell
+from gridperms.codec import _extend, _spell
 from gridperms.enumeration import _class_levels, _hints, _lifts
 from gridperms.gridding import _bands, _bands_valid, _inverse, _least_rows, _transpose, _witness
 
@@ -241,12 +241,14 @@ SEARCHES = {
     ("in_grid_class", "- +\n. +\n+ .", [1731], [1732]),
 ])
 def test_search_admission_edges(monkeypatch, search, text, admitted, refused):
-    # Stubs make an admitted search stop at once and record any work done.
+    # Stubs make an admitted search stop at once and record any work done:
+    # the word sweep gets no letter masks, so its root has no children.
     calls = []
     for target, result in [
         ("gridperms.enumeration._witness", (None, 0)),
         ("gridperms.enumeration._spell", None),
-        ("gridperms.enumeration._extends_normal_form", False),
+        ("gridperms.enumeration._extend", None),
+        ("gridperms.enumeration._trace_masks", ()),
         ("gridperms.gridding._bands_valid", True),
         ("gridperms.gridding._least_rows", ()),
     ]:
@@ -331,24 +333,35 @@ def test_word_sweep_checks_signs_on_entry(n):
     (M33_TEXT, 6, [728, 2380]),
     ("+ .\n+ -", 6, [144, 377]),
     ("+", 6, [1, 1]),
+    ("- +\n. +\n+ .", 7, [1093, 3280]),
+    ("+ . -\n. . .\n- . +", 6, [560, 1912]),
 ])
 def test_word_sweep_encodes_one_word_per_trace(monkeypatch, text, n_max, tail):
     # Cartier-Foata: exactly one normal form per trace, cycles included.
+    # _spell spells each prefix of length n - 1 and _extend each leaf; at
+    # n = 0 the one leaf is _spell's.
     m = GridMatrix.parse(text)
     signs = find_signs(m)
     traces = trace_counts(m, n_max)
     assert traces[-2:] == tail
-    calls = []
+    spelled, extended = [], []
 
     def counting_spell(*args):
-        calls.append(None)
+        spelled.append(None)
         return _spell(*args)
 
+    def counting_extend(*args):
+        extended.append(None)
+        return _extend(*args)
+
     monkeypatch.setattr("gridperms.enumeration._spell", counting_spell)
+    monkeypatch.setattr("gridperms.enumeration._extend", counting_extend)
     for n in range(n_max + 1):
-        calls.clear()
+        spelled.clear()
+        extended.clear()
         enumerate_via_words(m, signs, n)
-        assert len(calls) == traces[n], n
+        assert len(extended if n else spelled) == traces[n], n
+        assert len(spelled) == traces[max(n - 1, 0)], n
 
 
 def test_word_images_length_one(demo_matrix, demo_signs):
@@ -594,12 +607,12 @@ def test_word_sweep_encodes_each_gridded_image_once(monkeypatch, text):
     signs = find_signs(m)
     encoded = []
 
-    def recording_spell(*args):
-        entries, cols, rows = spelled = _spell(*args)
+    def recording_extend(*args):
+        entries, cols, rows = extended = _extend(*args)
         encoded.append(GriddedPermutation(Permutation(entries), m, Gridding(cols, rows)))
-        return spelled
+        return extended
 
-    monkeypatch.setattr("gridperms.enumeration._spell", recording_spell)
+    monkeypatch.setattr("gridperms.enumeration._extend", recording_extend)
     enumerate_via_words(m, signs, 5)
     every_word = product(sorted(alphabet(m)), repeat=5)
     assert len(encoded) == len(set(encoded))
@@ -607,14 +620,20 @@ def test_word_sweep_encodes_each_gridded_image_once(monkeypatch, text):
 
 
 @pytest.mark.parametrize(
-    "text", [DEMO_MATRIX_TEXT, "+ .\n+ -", M33_TEXT, "+ +\n+ +", "+"]
+    "text", [DEMO_MATRIX_TEXT, "+ .\n+ -", M33_TEXT, "+ +\n+ +", "+",
+             "- +\n. +\n+ .", "+ . -\n. . .\n- . +"]
 )
 def test_word_sweep_spells_what_encode_spells(monkeypatch, text):
-    # Every normal form up to length 7, cycles included: the word is read
-    # back from the position lists the sweep hands to its core.
+    # Every normal form up to length 7, cycles included: a prefix is read
+    # back from the position lists the sweep hands to _spell, and each leaf
+    # is that prefix and the letter the sweep hands to _extend.
     m = GridMatrix.parse(text)
     signs = find_signs(m)
-    spelled = []
+    spelled, extended = [], []
+
+    def check(word, result):
+        gp = encode(m, signs, word)
+        assert result == (gp.perm.entries, gp.gridding.cols, gp.gridding.rows), word
 
     def checking_spell(by_column, by_row, signs, n):
         word = [[0, 0] for _ in range(n)]
@@ -622,16 +641,26 @@ def test_word_sweep_spells_what_encode_spells(monkeypatch, text):
             for band, positions in enumerate(bands, start=1):
                 for j in positions:
                     word[j][axis] = band
-        gp = encode(m, signs, tuple(map(tuple, word)))
         result = _spell(by_column, by_row, signs, n)
-        assert result == (gp.perm.entries, gp.gridding.cols, gp.gridding.rows), word
-        spelled.append(None)
+        spelled.append(tuple(map(tuple, word)))
+        check(spelled[-1], result)
+        return result
+
+    def checking_extend(prefix, letter, signs):
+        result = _extend(prefix, letter, signs)
+        extended.append(spelled[-1] + (letter,))
+        check(extended[-1], result)
         return result
 
     monkeypatch.setattr("gridperms.enumeration._spell", checking_spell)
+    monkeypatch.setattr("gridperms.enumeration._extend", checking_extend)
+    leaves = 0
     for n in range(8):
+        spelled.clear()
+        extended.clear()
         enumerate_via_words(m, signs, n)
-    assert len(spelled) == sum(trace_counts(m, 7))
+        leaves += len(extended if n else spelled)
+    assert leaves == sum(trace_counts(m, 7))
 
 
 def test_word_sweep_certifies_every_image(monkeypatch):
