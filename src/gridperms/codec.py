@@ -15,6 +15,7 @@ words, which is what makes word images useful for sweeping grid classes.
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate
 
 from .graphs import SignAssignment
 from .gridding import Gridding, GriddedPermutation, _bands
@@ -82,58 +83,52 @@ def encode(matrix: GridMatrix, signs: SignAssignment, word: Word) -> GriddedPerm
         if letter not in letters:
             raise ValueError(f"letter {letter} is not a nonzero cell of the matrix")
 
-    by_column: list[list[int]] = [[] for _ in range(matrix.t)]
-    by_row: list[list[int]] = [[] for _ in range(matrix.u)]
-    for j, (k, l) in enumerate(word):
-        by_column[k - 1].append(j)
-        by_row[l - 1].append(j)
-    entries, cols, rows = _spell(by_column, by_row, signs, len(word))
+    entries, cols, rows = _spell(word, signs)
     # GriddedPermutation re-validates the cell conditions on construction.
     return GriddedPermutation(Permutation(entries), matrix, Gridding(cols, rows))
 
 
 def _spell(
-    by_column: list[list[int]], by_row: list[list[int]], signs: SignAssignment, n: int
+    word: Word, signs: SignAssignment
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The entries of the permutation and the column and row divisions that
-    a length-n word spells, given each column's and each row's letter
-    positions in word order.  Nothing is checked: ``encode`` validates
-    first, and the word sweep checks the cell conditions of every image it
-    keeps.
+    a word spells.  Nothing is checked: ``encode`` validates first, and the
+    word sweep checks the cell conditions of every image it keeps.
     """
-    # Rows bottom to top give the letters their values; columns left to
-    # right give the index order, so entry i is the value of the i-th.
-    value_of = [0] * n
+    # each column's and each row's letter positions, in word order
+    by_column: list[list[int]] = [[] for _ in signs.col_signs]
+    by_row: list[list[int]] = [[] for _ in signs.row_signs]
+    for j, (k, l) in enumerate(word):
+        by_column[k - 1].append(j)
+        by_row[l - 1].append(j)
+    # Rows bottom to top give the letters their values and columns left to
+    # right the index order, each band in word order if its sign is +1.
+    value_of = [0] * len(word)
     value = 0
     for band, sign in zip(by_row, signs.row_signs):
-        for j in _oriented(band, sign):
+        for j in (band if sign == 1 else reversed(band)):
             value += 1
             value_of[j] = value
     entries = tuple([value_of[j] for band, sign in zip(by_column, signs.col_signs)
-                     for j in _oriented(band, sign)])
-
-    cols, rows = [1], [1]
-    for positions in by_column:
-        cols.append(cols[-1] + len(positions))
-    for positions in by_row:
-        rows.append(rows[-1] + len(positions))
-    return entries, tuple(cols), tuple(rows)
+                     for j in (band if sign == 1 else reversed(band))])
+    return (entries, tuple(accumulate(map(len, by_column), initial=1)),
+            tuple(accumulate(map(len, by_row), initial=1)))
 
 
 def _extend(spelled: tuple[tuple[int, ...], ...], letter: Letter,
-            signs: SignAssignment) -> tuple[tuple[int, ...], ...]:
-    """What ``_spell`` gives for a word with the letter (k, l) appended, given
-    what it gives for the word.  The newest entry of column k ends it (c_k =
-    +1) or starts it and tops row l (r_l = +1) or bottoms it; values at or
-    above its own move up one, and divisions after k and after l grow by one."""
+            signs: SignAssignment) -> tuple[int, ...]:
+    """The entries ``_spell`` gives for a word with the letter (k, l)
+    appended, given what it gives for the word.  The newest entry of column
+    k ends it (c_k = +1) or starts it and tops row l (r_l = +1) or bottoms
+    it; values at or above its own move up one.  The divisions after k and
+    after l would grow by one; callers that need them build them."""
     entries, cols, rows = spelled
     k, l = letter
     index = cols[k] if signs.col_signs[k - 1] == 1 else cols[k - 1]
     value = rows[l] if signs.row_signs[l - 1] == 1 else rows[l - 1]
-    grown = [e + (e >= value) for e in entries]
+    grown = [e if e < value else e + 1 for e in entries]
     grown.insert(index - 1, value)
-    return (tuple(grown), cols[:k] + tuple([b + 1 for b in cols[k:]]),
-            rows[:l] + tuple([b + 1 for b in rows[l:]]))
+    return tuple(grown)
 
 
 def subword_leq(v: Word, w: Word) -> bool:

@@ -17,12 +17,13 @@ its transpose, whose members are the inverses of the class's members.
 letters whose cells share neither a column nor a row commute without
 changing the encoded gridded permutation, so one word per commutation class
 suffices.  A mask of the letters barred after each prefix admits a letter in
-one test.  Each length-(n-1) normal form is spelled once, through the core
-that ``encode`` uses, and each length-n one by one insertion.  Each distinct
-image is checked once, with the cell rule of ``check_gridding``, when first
-spelled, and built then.  For matrices whose row-column graph is a forest
-the two agree; comparing them is the main cross-check this module exists
-for.
+one test.  The sweep carries only its word: each length-(n-1) normal form is
+spelled once, through the core that ``encode`` uses, and each length-n one by
+one insertion that gives its entries alone.  Each distinct image is checked
+once, with the cell rule of ``check_gridding``, when first spelled: only then
+are its divisions and its ``Permutation`` built.  For matrices whose
+row-column graph is a forest the two agree; comparing them is the main
+cross-check this module exists for.
 Both draw on ``gridding.SEARCH_BUDGET``: the word sweep counts |alphabet| ** k
 words at depth k before any work, and the class sweeps orient and admit
 their longest candidate's search through ``_upright``, as ``in_grid_class``
@@ -156,23 +157,24 @@ def enumerate_via_words(
     permutation, so only the lexicographic trace normal forms are encoded;
     the image set is that of all |alphabet| ** n words.  Masks admit each
     next letter in one test (_trace_masks); each length-(n - 1) normal form
-    is spelled once and each length-n one by one insertion (_extend).  Each
-    distinct image is checked with the cell rule and built when first
-    spelled.  Signs that do not match the matrix, and lengths whose word
-    tree is over the search budget, are refused before any work.
+    is spelled once (_spell) and each length-n one by one insertion
+    (_extend), which gives entries alone.  A new image's divisions are then
+    built and checked with the cell rule, and the image built.  Signs that
+    do not match the matrix, and lengths whose word tree is over the search
+    budget, are refused before any work.
     """
     if not signs.verify(matrix):
         raise ValueError("sign assignment does not match the matrix")
     letters = matrix.nonzero_cells()
     _admit(n, [(len(letters), n)])
+    if n == 0:  # the empty word has no last letter to extend by
+        return {Permutation(_spell((), signs)[0])}
     masks = _trace_masks(letters)
     images: dict[tuple[int, ...], Permutation] = {}
     # Depth-first with an explicit stack, so long words cannot exhaust the
     # recursion limit; entries (depth, letter, blocked) extend one shared
-    # prefix, whose letter positions by_column and by_row keep for _spell.
+    # prefix, word, cut back to its first depth letters on each pop.
     word: list[Letter] = []
-    by_column: list[list[int]] = [[] for _ in range(matrix.t)]
-    by_row: list[list[int]] = [[] for _ in range(matrix.u)]
     stack: list[tuple[int, Letter, int]] = []
     depth = blocked = 0
     while True:
@@ -180,26 +182,26 @@ def enumerate_via_words(
             stack += [(depth, letter, (blocked | below) & commute)
                       for letter, bit, below, commute in masks if not blocked & bit]
         else:
-            spelled = _spell(by_column, by_row, signs, depth)
-            leaves = [_extend(spelled, letter, signs) for letter, bit, _, _ in masks
-                      if not blocked & bit] if n else [spelled]
-            for entries, cols, rows in leaves:
-                # the cell rule check_gridding runs, on each image's first spelling
+            _, cols, rows = spelled = _spell(word, signs)
+            for letter, bit, _, _ in masks:
+                if blocked & bit:
+                    continue
+                entries = _extend(spelled, letter, signs)
+                # the cell rule check_gridding runs, on each image's first
+                # spelling, whose divisions after k and after l grow by one
                 if entries not in images:
-                    if not _bands_valid(entries, matrix.columns, _bands(rows), cols):
-                        raise ValueError(f"{entries} has no valid gridding {cols} x {rows}")
+                    k, l = letter
+                    leaf_cols = cols[:k] + tuple([b + 1 for b in cols[k:]])
+                    leaf_rows = rows[:l] + tuple([b + 1 for b in rows[l:]])
+                    if not _bands_valid(entries, matrix.columns, _bands(leaf_rows), leaf_cols):
+                        raise ValueError(
+                            f"{entries} has no valid gridding {leaf_cols} x {leaf_rows}")
                     image = Permutation(entries)
                     images[image.entries] = image
         if not stack:
             return set(images.values())
         depth, letter, blocked = stack.pop()
-        while len(word) > depth:
-            k, l = word.pop()
-            by_column[k - 1].pop()
-            by_row[l - 1].pop()
-        k, l = letter
-        by_column[k - 1].append(depth)
-        by_row[l - 1].append(depth)
+        del word[depth:]
         word.append(letter)
         depth += 1
 

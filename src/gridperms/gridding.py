@@ -152,6 +152,8 @@ class GriddedPermutation(Value):
 
     def cell_of(self, index: int) -> Cell:
         """The cell holding the entry at the given index."""
+        if not 1 <= index <= self.gridding.n:
+            raise ValueError(f"index {index} outside 1..{self.gridding.n}")
         return self.gridding.cell_of(index, self.perm.entries[index - 1])
 
     def __str__(self) -> str:

@@ -9,6 +9,7 @@ and encoder over every permutation or every word, so the pruned sweeps in
 search there is ``find_gridding``, not the ``in_grid_class`` search the
 class sweep runs.  Everything here is exponential; keep inputs small.
 """
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from gridperms import Permutation, alphabet, encode, find_gridding
@@ -185,6 +186,28 @@ def simple_cycles_with_signs(matrix):
     for start in sorted(adjacency):
         extend([start], {start})
     return cycles
+
+
+def spell_by_insertion(matrix, col_signs, row_signs, word):
+    """The (entries, cols, rows) a word spells, from the definition, one
+    letter at a time.  Column band k is the open interval (k - 1, k) of the
+    x axis and row band l the same interval of the y axis; letter (k, l)
+    adds a point midway between band k's right end and its rightmost point
+    if c_k = +1, or between its left end and its leftmost point if -1, and
+    likewise at the top or bottom of row band l as r_l is +1 or -1.  All
+    points are re-ranked after each insertion."""
+    points, entries = [], ()
+    for k, l in word:
+        assert matrix.entry(k, l) != 0, (k, l)
+        xs = [x for x, _ in points if k - 1 < x < k]
+        ys = [y for _, y in points if l - 1 < y < l]
+        x = (max(xs, default=k - 1) + k if col_signs[k - 1] == 1 else k - 1 + min(xs, default=k))
+        y = (max(ys, default=l - 1) + l if row_signs[l - 1] == 1 else l - 1 + min(ys, default=l))
+        points.append((Fraction(x) / 2, Fraction(y) / 2))
+        entries = tuple(sum(b <= y for _, b in points) for _, y in sorted(points))
+    cols = tuple(1 + sum(x < k for x, _ in points) for k in range(matrix.t + 1))
+    rows = tuple(1 + sum(y < l for _, y in points) for l in range(matrix.u + 1))
+    return entries, cols, rows
 
 
 def has_negative_simple_cycle(matrix) -> bool:

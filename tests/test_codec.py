@@ -26,7 +26,12 @@ from gridperms import (
 from gridperms.codec import _extend, _spell
 
 from .conftest import DEMO_MATRIX_TEXT, DEMO_WORD_TEXT
-from .oracles import brute_griddings, brute_sign_assignments, least_index_replay
+from .oracles import (
+    brute_griddings,
+    brute_sign_assignments,
+    least_index_replay,
+    spell_by_insertion,
+)
 from .strategies import matrices, words_over
 
 DEMO = GridMatrix.parse(DEMO_MATRIX_TEXT)
@@ -120,12 +125,28 @@ def test_extend_spells_the_word_with_its_last_letter(data):
     assume(word)
     signs = find_signs(m)
     negated = SignAssignment([-c for c in signs.col_signs], [-r for r in signs.row_signs])
-    by_column = [[j for j, (k, _) in enumerate(word[:-1]) if k == col] for col in range(1, m.t + 1)]
-    by_row = [[j for j, (_, l) in enumerate(word[:-1]) if l == row] for row in range(1, m.u + 1)]
+    for s in (signs, negated):
+        assert _extend(_spell(word[:-1], s), word[-1], s) == encode(m, s, word).perm.entries
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_encode_matches_spelling_by_insertion(data):
+    # encode's exact entries and divisions, against the definition
+    m = data.draw(matrices())
+    assume(not has_negative_cycle(m))
+    word = data.draw(words_over(m))
+    signs = find_signs(m)
+    negated = SignAssignment([-c for c in signs.col_signs], [-r for r in signs.row_signs])
     for s in (signs, negated):
         gp = encode(m, s, word)
-        spelled = _extend(_spell(by_column, by_row, s, len(word) - 1), word[-1], s)
-        assert spelled == (gp.perm.entries, gp.gridding.cols, gp.gridding.rows)
+        spelled = spell_by_insertion(m, s.col_signs, s.row_signs, word)
+        assert spelled == (gp.perm.entries, gp.gridding.cols, gp.gridding.rows), (s, word)
+
+
+def test_spelling_by_insertion_showcase(demo_matrix, demo_signs, demo_word, demo_perm, demo_gridding):
+    spelled = spell_by_insertion(demo_matrix, demo_signs.col_signs, demo_signs.row_signs, demo_word)
+    assert spelled == (demo_perm.entries, demo_gridding.cols, demo_gridding.rows)
 
 
 # subword order

@@ -607,10 +607,14 @@ def test_word_sweep_encodes_each_gridded_image_once(monkeypatch, text):
     signs = find_signs(m)
     encoded = []
 
-    def recording_extend(*args):
-        entries, cols, rows = extended = _extend(*args)
+    def recording_extend(spelled, letter, signs):
+        entries = _extend(spelled, letter, signs)
+        # the leaf's letter adds one entry to its column and to its row
+        (_, cols, rows), (k, l) = spelled, letter
+        cols = cols[:k] + tuple(b + 1 for b in cols[k:])
+        rows = rows[:l] + tuple(b + 1 for b in rows[l:])
         encoded.append(GriddedPermutation(Permutation(entries), m, Gridding(cols, rows)))
-        return extended
+        return entries
 
     monkeypatch.setattr("gridperms.enumeration._extend", recording_extend)
     enumerate_via_words(m, signs, 5)
@@ -624,9 +628,10 @@ def test_word_sweep_encodes_each_gridded_image_once(monkeypatch, text):
              "- +\n. +\n+ .", "+ . -\n. . .\n- . +"]
 )
 def test_word_sweep_spells_what_encode_spells(monkeypatch, text):
-    # Every normal form up to length 7, cycles included: a prefix is read
-    # back from the position lists the sweep hands to _spell, and each leaf
-    # is that prefix and the letter the sweep hands to _extend.
+    # Every normal form up to length 7, cycles included: each prefix is the
+    # word the sweep hands to _spell, each leaf is that prefix and the letter
+    # it hands to _extend, and each new image's divisions are the ones it
+    # hands to the cell rule right after that leaf's _extend.
     m = GridMatrix.parse(text)
     signs = find_signs(m)
     spelled, extended = [], []
@@ -635,25 +640,26 @@ def test_word_sweep_spells_what_encode_spells(monkeypatch, text):
         gp = encode(m, signs, word)
         assert result == (gp.perm.entries, gp.gridding.cols, gp.gridding.rows), word
 
-    def checking_spell(by_column, by_row, signs, n):
-        word = [[0, 0] for _ in range(n)]
-        for axis, bands in enumerate((by_column, by_row)):
-            for band, positions in enumerate(bands, start=1):
-                for j in positions:
-                    word[j][axis] = band
-        result = _spell(by_column, by_row, signs, n)
-        spelled.append(tuple(map(tuple, word)))
+    def checking_spell(word, signs):
+        result = _spell(word, signs)
+        spelled.append(tuple(word))
         check(spelled[-1], result)
         return result
 
     def checking_extend(prefix, letter, signs):
         result = _extend(prefix, letter, signs)
         extended.append(spelled[-1] + (letter,))
-        check(extended[-1], result)
+        assert result == encode(m, signs, extended[-1]).perm.entries, extended[-1]
         return result
+
+    def checking_cells(entries, columns, row_of, cols):
+        g = encode(m, signs, extended[-1]).gridding
+        assert (row_of, cols) == (_bands(g.rows), g.cols), extended[-1]
+        return _bands_valid(entries, columns, row_of, cols)
 
     monkeypatch.setattr("gridperms.enumeration._spell", checking_spell)
     monkeypatch.setattr("gridperms.enumeration._extend", checking_extend)
+    monkeypatch.setattr("gridperms.enumeration._bands_valid", checking_cells)
     leaves = 0
     for n in range(8):
         spelled.clear()

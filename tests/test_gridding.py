@@ -126,6 +126,15 @@ def test_gridded_permutation_validates(demo_matrix, demo_perm, demo_gridding):
         GriddedPermutation(demo_perm, demo_matrix, Gridding((1, 2, 5, 10), (1, 6, 10)))
 
 
+def test_gridded_cell_of_refuses_indices_outside(demo_matrix, demo_perm, demo_gridding):
+    # index 0 must not wrap round to the last entry, nor n + 1 read past it
+    gp = GriddedPermutation(demo_perm, demo_matrix, demo_gridding)
+    empty = GriddedPermutation(Permutation(()), demo_matrix, Gridding((1,) * 4, (1,) * 3))
+    for gridded, index in [(gp, 0), (gp, 10), (gp, -1), (empty, 1), (empty, 0)]:
+        with pytest.raises(ValueError, match="outside"):
+            gridded.cell_of(index)
+
+
 # find_gridding / in_grid_class
 
 def test_find_gridding_returns_lex_least(demo_matrix, demo_perm):
