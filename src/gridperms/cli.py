@@ -30,17 +30,10 @@ from .gridding import (
     Gridding, GriddedPermutation, LimitExceededError, check_gridding, find_gridding,
 )
 from .matrices import GridMatrix
-from .perms import Permutation
+from .perms import Permutation, _ints
 
 # What a subcommand returns: exit code, plain text, JSON payload.
 Result = tuple[int, str, dict]
-
-
-def _parse_signs(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise ValueError(f"cannot parse signs from {text!r}") from None
 
 
 def _resolve_signs(matrix: GridMatrix, args: argparse.Namespace) -> SignAssignment:
@@ -51,8 +44,8 @@ def _resolve_signs(matrix: GridMatrix, args: argparse.Namespace) -> SignAssignme
     found = find_signs(matrix) if None in (args.col_signs, args.row_signs) else None
     if args.col_signs is None and args.row_signs is None:
         return found
-    col_signs = None if args.col_signs is None else _parse_signs(args.col_signs)
-    row_signs = None if args.row_signs is None else _parse_signs(args.row_signs)
+    col_signs, row_signs = (None if text is None else _ints(text.split(","), "signs", text)
+                            for text in (args.col_signs, args.row_signs))
     if row_signs is None:
         row_signs = tuple(
             next((e * c for c, e in zip(col_signs, row) if e), r)

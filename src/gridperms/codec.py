@@ -20,7 +20,7 @@ from itertools import accumulate
 from .graphs import SignAssignment
 from .gridding import Gridding, GriddedPermutation, _bands
 from .matrices import Cell, GridMatrix
-from .perms import Permutation
+from .perms import Permutation, _ints
 
 Letter = Cell  # (column, row) of a nonzero cell
 Word = tuple[Letter, ...]
@@ -47,11 +47,8 @@ def parse_word(text: str) -> Word:
     for token in text.split():
         fields = token.split(",")
         if len(fields) != 2:
-            raise ValueError(f"cannot parse letter {token!r}")
-        try:
-            k, l = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ValueError(f"cannot parse letter {token!r}") from None
+            raise ValueError(f"cannot parse letter from {token!r}")
+        k, l = _ints(fields, "letter", token)
         if k < 1 or l < 1:
             raise ValueError(f"letter coordinates must be positive: {token!r}")
         letters.append((k, l))
@@ -62,9 +59,9 @@ def format_word(word: Word) -> str:
     return " ".join(f"{k},{l}" for k, l in word)
 
 
-def _oriented(band, sign: int):
-    """A band as listed when its sign is +1, reversed when it is -1."""
-    return band if sign == 1 else band[::-1]
+def _check_signs(matrix: GridMatrix, signs: SignAssignment) -> None:
+    if not signs.verify(matrix):
+        raise ValueError("sign assignment does not match the matrix")
 
 
 def encode(matrix: GridMatrix, signs: SignAssignment, word: Word) -> GriddedPermutation:
@@ -76,8 +73,7 @@ def encode(matrix: GridMatrix, signs: SignAssignment, word: Word) -> GriddedPerm
     of later letters go above if r_l = +1 and below if r_l = -1.  Column
     divisions fall out of the per-column letter counts, rows likewise.
     """
-    if not signs.verify(matrix):
-        raise ValueError("sign assignment does not match the matrix")
+    _check_signs(matrix, signs)
     letters = alphabet(matrix)
     for letter in word:
         if letter not in letters:
@@ -148,16 +144,14 @@ def row_col_orders(
     them by index, ascending or descending.  Row orders list values of a
     band ascending or descending as r_l is +1 or -1.
     """
-    if not signs.verify(gp.matrix):
-        raise ValueError("sign assignment does not match the matrix")
-    pi, g = gp.perm, gp.gridding
+    _check_signs(gp.matrix, signs)
+    entries, g = gp.perm.entries, gp.gridding
+    # a sign of -1 reverses its band: sign is the slice's step
     orders: dict[tuple[str, int], tuple[int, ...]] = {}
-    for k in range(1, g.t + 1):
-        band = pi.entries[g.cols[k - 1] - 1 : g.cols[k] - 1]
-        orders[("col", k)] = _oriented(band, signs.col_signs[k - 1])
-    for l in range(1, g.u + 1):
-        band = tuple(range(g.rows[l - 1], g.rows[l]))
-        orders[("row", l)] = _oriented(band, signs.row_signs[l - 1])
+    for k, sign in enumerate(signs.col_signs, 1):
+        orders[("col", k)] = entries[g.cols[k - 1] - 1 : g.cols[k] - 1][::sign]
+    for l, sign in enumerate(signs.row_signs, 1):
+        orders[("row", l)] = tuple(range(g.rows[l - 1], g.rows[l]))[::sign]
     return orders
 
 

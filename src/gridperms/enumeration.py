@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from . import gridding
-from .codec import Letter, _extend, _spell
+from .codec import Letter, _check_signs, _extend, _spell
 from .graphs import SignAssignment
 from .gridding import _admit, _bands, _bands_valid, _upright, _witness
 from .matrices import GridMatrix
@@ -163,13 +163,13 @@ def enumerate_via_words(
     do not match the matrix, and lengths whose word tree is over the search
     budget, are refused before any work.
     """
-    if not signs.verify(matrix):
-        raise ValueError("sign assignment does not match the matrix")
+    _check_signs(matrix, signs)
     letters = matrix.nonzero_cells()
     _admit(n, [(len(letters), n)])
     if n == 0:  # the empty word has no last letter to extend by
         return {Permutation(_spell((), signs)[0])}
-    masks = _trace_masks(letters)
+    # at n = 1 no letter follows another, so none is barred and no mask built
+    masks = _trace_masks(letters) if n > 1 else [(letter, 0, 0, 0) for letter in letters]
     images: dict[tuple[int, ...], Permutation] = {}
     # Depth-first with an explicit stack, so long words cannot exhaust the
     # recursion limit; entries (depth, letter, blocked) extend one shared

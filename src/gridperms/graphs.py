@@ -119,13 +119,6 @@ def is_forest(graph: RowColumnGraph | CellGraph) -> bool:
     return True
 
 
-def _normalize_cycle(cycle: Sequence[Vertex]) -> tuple[Vertex, ...]:
-    vertices = tuple(tuple(v) for v in cycle)
-    if len(vertices) >= 2 and vertices[0] == vertices[-1]:
-        vertices = vertices[:-1]
-    return vertices
-
-
 def cycle_sign(matrix: GridMatrix, cycle: Sequence[Vertex]) -> int:
     """Product of the edge signs around a cycle of the row-column graph.
 
@@ -134,7 +127,9 @@ def cycle_sign(matrix: GridMatrix, cycle: Sequence[Vertex]) -> int:
     last vertex back to the first is implied (repeating the first vertex at
     the end is also accepted).
     """
-    vertices = _normalize_cycle(cycle)
+    vertices = tuple(tuple(v) for v in cycle)
+    if len(vertices) >= 2 and vertices[0] == vertices[-1]:
+        vertices = vertices[:-1]
     if len(vertices) < 4 or len(vertices) % 2 != 0:
         raise ValueError(f"not a cycle: {vertices} (need even length >= 4)")
     if len(set(vertices)) != len(vertices):

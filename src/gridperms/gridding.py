@@ -36,7 +36,7 @@ from math import comb
 
 from ._value import Value
 from .matrices import Cell, GridMatrix
-from .perms import Permutation
+from .perms import Permutation, _ints
 
 SEARCH_BUDGET = 3 * 10**6
 
@@ -107,7 +107,9 @@ class Gridding(Value):
         return self.cols[-1] - 1
 
     def cell_of(self, index: int, value: int) -> Cell:
-        """The cell (k, l) whose index and value ranges cover the point."""
+        """The cell (k, l) whose index and value ranges cover the point; both
+        coordinates must be integers, and anything else raises TypeError."""
+        index, value = operator.index(index), operator.index(value)
         if not 1 <= index <= self.n or not 1 <= value <= self.n:
             raise ValueError(f"point ({index}, {value}) outside 1..{self.n}")
         return bisect_right(self.cols, index), bisect_right(self.rows, value)
@@ -120,10 +122,7 @@ class Gridding(Value):
             key, _, values = token.partition("=")
             if key not in ("cols", "rows") or key in parts or not values:
                 raise ValueError(f"cannot parse gridding from {text!r}")
-            try:
-                parts[key] = tuple(int(v) for v in values.split(","))
-            except ValueError:
-                raise ValueError(f"cannot parse gridding from {text!r}") from None
+            parts[key] = _ints(values.split(","), "gridding", text)
         if set(parts) != {"cols", "rows"}:
             raise ValueError(f"cannot parse gridding from {text!r}")
         return cls(parts["cols"], parts["rows"])
@@ -151,22 +150,14 @@ class GriddedPermutation(Value):
         super().__init__(perm, matrix, gridding)
 
     def cell_of(self, index: int) -> Cell:
-        """The cell holding the entry at the given index."""
+        """The cell holding the entry at the given index, an integer."""
+        index = operator.index(index)
         if not 1 <= index <= self.gridding.n:
             raise ValueError(f"index {index} outside 1..{self.gridding.n}")
         return self.gridding.cell_of(index, self.perm.entries[index - 1])
 
     def __str__(self) -> str:
         return f"{self.perm} ({self.gridding})"
-
-
-def _require_shape(pi: Permutation, matrix: GridMatrix, g: Gridding) -> None:
-    if g.t != matrix.t or g.u != matrix.u:
-        raise ValueError(
-            f"gridding shape {g.t}x{g.u} does not match matrix {matrix.t}x{matrix.u}"
-        )
-    if g.n != len(pi):
-        raise ValueError(f"divisions end at {g.n + 1}, expected {len(pi) + 1}")
 
 
 def check_gridding(pi: Permutation, matrix: GridMatrix, g: Gridding) -> bool:
@@ -178,7 +169,12 @@ def check_gridding(pi: Permutation, matrix: GridMatrix, g: Gridding) -> bool:
     gridding that violates a cell condition just returns False.  The check
     runs on the transposed problem, whose index map is pi itself.
     """
-    _require_shape(pi, matrix, g)
+    if g.t != matrix.t or g.u != matrix.u:
+        raise ValueError(
+            f"gridding shape {g.t}x{g.u} does not match matrix {matrix.t}x{matrix.u}"
+        )
+    if g.n != len(pi):
+        raise ValueError(f"divisions end at {g.n + 1}, expected {len(pi) + 1}")
     return _bands_valid(pi.entries, matrix.columns, _bands(g.rows), g.cols)
 
 

@@ -52,6 +52,8 @@ class GridMatrix(Value):
         return len(self.columns[0])
 
     def entry(self, k: int, l: int) -> int:
+        """Entry (k, l); a coordinate that is not an integer raises TypeError."""
+        k, l = operator.index(k), operator.index(l)
         if not (1 <= k <= self.t and 1 <= l <= self.u):
             raise ValueError(f"cell ({k}, {l}) outside a {self.t}x{self.u} matrix")
         return self.columns[k - 1][l - 1]

@@ -74,11 +74,16 @@ class Permutation(Value):
                     "use separated values"
                 )
             return cls(tuple(int(ch) for ch in token))
-        try:
-            values = tuple(int(tok) for tok in tokens)
-        except ValueError:
-            raise ValueError(f"cannot parse permutation from {text!r}") from None
-        return cls(values)
+        return cls(_ints(tokens, "permutation", text))
+
+
+def _ints(fields: Iterable[str], what: str, text: str) -> tuple[int, ...]:
+    """The fields as ints, the one integer reader of every text format: a
+    field ``int`` refuses raises ValueError("cannot parse <what> from '<text>'")."""
+    try:
+        return tuple(int(field) for field in fields)
+    except ValueError:
+        raise ValueError(f"cannot parse {what} from {text!r}") from None
 
 
 def pattern_of(values: Sequence[int]) -> Permutation:
@@ -152,20 +157,22 @@ def window(
     """The pattern of pi's entries with index in ``x_interval`` and value in
     ``y_interval``.
 
-    Both intervals are inclusive pairs (lo, hi) of positions/values in 1..n.
-    An interval with lo > hi selects nothing.
+    Both intervals are inclusive pairs (lo, hi) of positions/values in 1..n,
+    integers of any integer type; anything else raises TypeError.  An
+    interval with lo > hi selects nothing.
 
     >>> window(Permutation((1, 3, 6, 8, 5, 4, 7, 9, 2)), (5, 9), (1, 5)).entries
     (3, 2, 1)
     """
     n = len(pi)
-    for lo, hi in (x_interval, y_interval):
+    (x_lo, x_hi), (y_lo, y_hi) = intervals = [
+        tuple(map(operator.index, bounds)) for bounds in (x_interval, y_interval)
+    ]
+    for lo, hi in intervals:
         if not (1 <= lo <= n and 1 <= hi <= n):
             raise ValueError(
                 f"interval bounds ({lo}, {hi}) outside 1..{n} for a length-{n} permutation"
             )
-    x_lo, x_hi = x_interval
-    y_lo, y_hi = y_interval
     selected = [
         v
         for i, v in enumerate(pi.entries, start=1)

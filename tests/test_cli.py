@@ -378,6 +378,7 @@ def test_usage_errors_exit_two(capsys, tmp_path, demo_file):
     payload = json.loads(out)
     assert payload["error"] == "BAD-INPUT"
     assert "cannot parse signs" in payload["message"]
+    assert payload["message"] == "cannot parse signs from '1,x'"
 
     code, out = run(capsys, "--json", "enum", demo_file, "12")
     assert code == 2

@@ -59,6 +59,8 @@ def test_parse_word_rejects_garbage():
     for text in ["3", "3,1,2", "a,b", "0,1", "3,-1"]:
         with pytest.raises(ValueError):
             parse_word(text)
+    with pytest.raises(ValueError, match="cannot parse letter from '1,x'"):
+        parse_word("1,x")
 
 
 # encode

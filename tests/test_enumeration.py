@@ -315,6 +315,17 @@ def test_one_letter_word_sweep_is_linear():
     assert images == {Permutation(tuple(range(1, 100_001)))}
 
 
+def test_word_sweep_at_length_one_builds_no_trace_masks():
+    # no letter follows another in a one-letter word, so the |A| masks of
+    # |A| bits each, 6,400 of them here, are not built
+    square = GridMatrix(((1,) * 80,) * 80)
+    signs = find_signs(square)
+    start = time.perf_counter()
+    images = enumerate_via_words(square, signs, 1)
+    assert time.perf_counter() - start < 1
+    assert images == {Permutation((1,))}
+
+
 def test_word_sweep_over_empty_alphabet_admits_any_length():
     zero = GridMatrix.parse(". .")
     assert enumerate_via_words(zero, find_signs(zero), 10**9) == set()

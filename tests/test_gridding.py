@@ -61,6 +61,11 @@ def test_cell_of_points():
         g.cell_of(10, 1)
     with pytest.raises(ValueError):
         g.cell_of(0, 1)
+    for point in [(1.5, 2.5), (1, 2.0), ("1", 1)]:
+        with pytest.raises(TypeError):
+            g.cell_of(*point)
+    numpy = pytest.importorskip("numpy")
+    assert g.cell_of(numpy.int64(9), True) == (3, 1)
 
 
 def test_cell_of_skips_empty_bands():
@@ -82,6 +87,8 @@ def test_gridding_parse_rejects_garbage():
                  "cols=1,4 rows=1,4 rows=1,4", "1,4 1,4"]:
         with pytest.raises(ValueError):
             Gridding.parse(text)
+    with pytest.raises(ValueError, match="cannot parse gridding from 'cols=1,x rows=1,2'"):
+        Gridding.parse("cols=1,x rows=1,2")
 
 
 # check_gridding
@@ -133,6 +140,11 @@ def test_gridded_cell_of_refuses_indices_outside(demo_matrix, demo_perm, demo_gr
     for gridded, index in [(gp, 0), (gp, 10), (gp, -1), (empty, 1), (empty, 0)]:
         with pytest.raises(ValueError, match="outside"):
             gridded.cell_of(index)
+    for index in [1.0, 1.5, "1"]:
+        with pytest.raises(TypeError):
+            gp.cell_of(index)
+    numpy = pytest.importorskip("numpy")
+    assert gp.cell_of(numpy.int64(1)) == gp.cell_of(True) == (1, 1)
 
 
 # find_gridding / in_grid_class

@@ -83,6 +83,11 @@ def test_entry_bounds_checked():
     for k, l in [(0, 1), (1, 0), (2, 1), (1, 2)]:
         with pytest.raises(ValueError):
             m.entry(k, l)
+    for k, l in [(1.5, 1), (1, 1.0), ("1", 1)]:
+        with pytest.raises(TypeError):
+            m.entry(k, l)
+    numpy = pytest.importorskip("numpy")
+    assert m.entry(numpy.int64(1), True) == 1
 
 
 def test_nonzero_cells_sorted_by_column_then_row():

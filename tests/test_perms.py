@@ -68,6 +68,8 @@ def test_parse_rejects_garbage():
     # a superscript is a digit but not a decimal one: the parser, not int(), refuses it
     with pytest.raises(ValueError, match="cannot parse permutation from '1²'"):
         Permutation.parse("1²")
+    with pytest.raises(ValueError, match="cannot parse permutation from '1 x 3'"):
+        Permutation.parse("1 x 3")
 
 
 def test_parse_digit_form_stops_at_nine():
@@ -194,6 +196,13 @@ def test_window_rejects_out_of_range_bounds():
     for x, y in [((0, 2), (1, 4)), ((1, 5), (1, 4)), ((1, 4), (2, 5))]:
         with pytest.raises(ValueError):
             window(pi, x, y)
+    # bounds must be integers: a float is neither bisected nor compared
+    pi = Permutation((2, 4, 1, 3))
+    for x, y in [((1.5, 3), (1, 4)), ((1, 4), (1, 4.0)), (("1", 4), (1, 4))]:
+        with pytest.raises(TypeError):
+            window(pi, x, y)
+    numpy = pytest.importorskip("numpy")
+    assert window(pi, (True, numpy.int64(4)), (1, 4)) == pi
 
 
 def test_window_reversed_interval_selects_nothing():
