@@ -117,7 +117,7 @@ def _extend(spelled: tuple[tuple[int, ...], ...], letter: Letter,
     appended, given what it gives for the word.  The newest entry of column
     k ends it (c_k = +1) or starts it and tops row l (r_l = +1) or bottoms
     it; values at or above its own move up one.  The divisions after k and
-    after l would grow by one; callers that need them build them."""
+    after l would grow by one; the word sweep grows them where it needs them."""
     entries, cols, rows = spelled
     k, l = letter
     index = cols[k] if signs.col_signs[k - 1] == 1 else cols[k - 1]

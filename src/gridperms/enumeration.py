@@ -9,19 +9,19 @@ division that admitted each, and each member of the level below keeps its
 active sites as a bit mask.  An extension goes through the gridding search
 only when each of its other deletions is a member, one mask lookup per
 deleted value, so the search runs only on members and basis elements.  It
-tries the parent's witness division, then each deletion's, lifted by
-re-inserting the deleted value, and then every division, so no answer
-depends on the hints.  A matrix with fewer columns than rows is walked as
-its transpose, whose members are the inverses of the class's members.
+tries the parent's witness division, lifted and banded once per parent, then
+each deletion's, lifted by re-inserting the deleted value, and then every
+division, so no answer depends on the hints.  A matrix with fewer columns
+than rows is walked as its transpose, whose members are the class's inverses.
 ``enumerate_via_words`` encodes the lexicographic normal forms of traces:
 letters whose cells share neither a column nor a row commute without
 changing the encoded gridded permutation, so one word per commutation class
 suffices.  A mask of the letters barred after each prefix admits a letter in
-one test.  The sweep carries only its word: each length-(n-1) normal form is
-spelled once, through the core that ``encode`` uses, and each length-n one by
-one insertion that gives its entries alone.  Each distinct image is checked
-once, with the cell rule of ``check_gridding``, when first spelled: only then
-are its divisions and its ``Permutation`` built.  For matrices whose
+one test.  The sweep carries only its word: it spells each length-(n-2)
+normal form once, through ``encode``'s core, and grows each length-(n-1) and
+then length-n one from it by one insertion each.  Each distinct image is
+checked once, with ``check_gridding``'s cell rule, when first spelled: only
+then are its divisions and its ``Permutation`` built.  For matrices whose
 row-column graph is a forest the two agree; comparing them is the main
 cross-check this module exists for.
 Both draw on ``gridding.SEARCH_BUDGET``: the word sweep counts |alphabet| ** k
@@ -57,16 +57,17 @@ def _class_levels(
     v gives a member: j - (p < j) must be an active site of P less v, one
     mask lookup per (P, v).  The gridding search runs only on the candidates
     that pass, which are the members and the basis elements of length n,
-    and tries _hints before the exhaustive search.
+    and tries _hints before the exhaustive search; the parent's division,
+    which every child tries first, is lifted and banded once per parent.
 
     Callers orient and admit through _upright.  The walk charges n * n steps
     per parent at length n (n - 1 deletion lookups of n - 1 entries, and n
     candidates) and n + u per division _witness tries; the search that takes
     them past SEARCH_BUDGET raises LimitExceededError.
     """
-    budget, steps = gridding.SEARCH_BUDGET, 0
+    budget, steps, u = gridding.SEARCH_BUDGET, 0, matrix.u
     # the empty permutation, gridded with every row empty
-    level = {(): (1,) * (matrix.u + 1)}
+    level = {(): (1,) * (u + 1)}
     sites: dict[tuple[int, ...], int] = {}
     yield level
     for n in range(1, n_max + 1):
@@ -79,12 +80,13 @@ def _class_levels(
             for p, v in enumerate(parent):
                 active = sites[tuple([w - (w > v) for w in parent if w != v])]
                 open_sites &= (active & ((2 << p) - 1)) | (active >> p << (p + 1))
+            lifted = [(rows, _bands(rows)) for rows in _lifts(division, n, n)]
             mask = 0
             for j in range(n):
                 if open_sites >> j & 1:
                     child = parent[:j] + (n,) + parent[j:]
-                    witness, tried = _witness(child, matrix, _hints(child, division, level))
-                    steps += tried * (n + matrix.u)
+                    witness, tried = _witness(child, matrix, _hints(child, lifted, level))
+                    steps += tried * (n + u)
                     if steps > budget:
                         raise gridding.LimitExceededError(
                             f"a length-{n_max} sweep took {steps} steps at length {n}")
@@ -112,17 +114,18 @@ def _lifts(division: tuple[int, ...], x: int, n: int) -> Iterator[tuple[int, ...
 
 
 def _hints(
-    child: tuple[int, ...], division: tuple[int, ...],
+    child: tuple[int, ...], lifted: list[tuple[tuple[int, ...], list[int]]],
     level: dict[tuple[int, ...], tuple[int, ...]],
-) -> Iterator[tuple[int, ...]]:
-    """The divisions a length-n candidate tries first: its parent's witness
-    division lifted at the value n, then the witness in ``level`` of each
-    other deletion, in index order, lifted at its deleted value v."""
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """The divisions a length-n candidate tries first, banded: ``lifted``, its
+    parent's witness division lifted at the value n, then the witness in
+    ``level`` of each other deletion, in index order, lifted at its value v."""
     n = len(child)
-    yield from _lifts(division, n, n)
+    yield from lifted
     for v in child:
         if v != n:
-            yield from _lifts(level[tuple([w - (w > v) for w in child if w != v])], v, n)
+            for rows in _lifts(level[tuple([w - (w > v) for w in child if w != v])], v, n):
+                yield rows, _bands(rows)
 
 
 def enumerate_class(matrix: GridMatrix, n: int) -> set[Permutation]:
@@ -148,6 +151,14 @@ def _trace_masks(letters: tuple[Letter, ...]) -> list[tuple[Letter, int, int, in
             for i, (k, l) in enumerate(letters)]
 
 
+def _grow(spelled: tuple[tuple[int, ...], ...], letter: Letter) -> tuple[tuple[int, ...], ...]:
+    """The divisions ``_spell`` gives for a word with the letter (k, l) appended,
+    given what it gives for the word: those after k and after l grow by one."""
+    (_, cols, rows), (k, l) = spelled, letter
+    return (cols[:k] + tuple([b + 1 for b in cols[k:]]),
+            rows[:l] + tuple([b + 1 for b in rows[l:]]))
+
+
 def enumerate_via_words(
     matrix: GridMatrix, signs: SignAssignment, n: int
 ) -> set[Permutation]:
@@ -156,10 +167,10 @@ def enumerate_via_words(
     Words equal up to commuting letters encode the same gridded
     permutation, so only the lexicographic trace normal forms are encoded;
     the image set is that of all |alphabet| ** n words.  Masks admit each
-    next letter in one test (_trace_masks); each length-(n - 1) normal form
-    is spelled once (_spell) and each length-n one by one insertion
-    (_extend), which gives entries alone.  A new image's divisions are then
-    built and checked with the cell rule, and the image built.  Signs that
+    next letter in one test (_trace_masks).  Each length-(n - 2) normal form is
+    spelled once (_spell), each length-(n - 1) one grown from it by _extend and
+    _grow, and each length-n one by _extend alone.  A new image's divisions are
+    then grown and checked with the cell rule, and the image built.  Signs that
     do not match the matrix, and lengths whose word tree is over the search
     budget, are refused before any work.
     """
@@ -178,26 +189,28 @@ def enumerate_via_words(
     stack: list[tuple[int, Letter, int]] = []
     depth = blocked = 0
     while True:
-        if depth < n - 1:
+        if depth < n - 2:
             stack += [(depth, letter, (blocked | below) & commute)
                       for letter, bit, below, commute in masks if not blocked & bit]
         else:
-            _, cols, rows = spelled = _spell(word, signs)
-            for letter, bit, _, _ in masks:
-                if blocked & bit:
-                    continue
-                entries = _extend(spelled, letter, signs)
-                # the cell rule check_gridding runs, on each image's first
-                # spelling, whose divisions after k and after l grow by one
-                if entries not in images:
-                    k, l = letter
-                    leaf_cols = cols[:k] + tuple([b + 1 for b in cols[k:]])
-                    leaf_rows = rows[:l] + tuple([b + 1 for b in rows[l:]])
-                    if not _bands_valid(entries, matrix.columns, _bands(leaf_rows), leaf_cols):
-                        raise ValueError(
-                            f"{entries} has no valid gridding {leaf_cols} x {leaf_rows}")
-                    image = Permutation(entries)
-                    images[image.entries] = image
+            spelled = _spell(word, signs)
+            # the length-(n - 1) normal forms, or at n = 1 the empty word
+            prefixes = [(spelled, blocked)] if n == 1 else [
+                ((_extend(spelled, letter, signs), *_grow(spelled, letter)),
+                 (blocked | below) & commute)
+                for letter, bit, below, commute in masks if not blocked & bit]
+            for prefix, after in prefixes:
+                for letter, bit, _, _ in masks:
+                    if after & bit:
+                        continue
+                    entries = _extend(prefix, letter, signs)
+                    # check_gridding's cell rule, on each image's first spelling
+                    if entries not in images:
+                        cols, rows = _grow(prefix, letter)
+                        if not _bands_valid(entries, matrix.columns, _bands(rows), cols):
+                            raise ValueError(f"{entries} has no valid gridding {cols} x {rows}")
+                        image = Permutation(entries)
+                        images[image.entries] = image
         if not stack:
             return set(images.values())
         depth, letter, blocked = stack.pop()

@@ -317,21 +317,25 @@ def in_grid_class(pi: Permutation, matrix: GridMatrix) -> bool:
 
 
 def _witness(
-    entries: tuple[int, ...], matrix: GridMatrix, hints: Iterable[tuple[int, ...]] = ()
+    entries: tuple[int, ...], matrix: GridMatrix,
+    hints: Iterable[tuple[tuple[int, ...], list[int]]] = (),
 ) -> tuple[tuple[int, ...] | None, int]:
     """A row division that _least_rows completes to a valid gridding of the
     permutation pi with these entries for a matrix with t >= u, or None,
     and the number of divisions tried.
 
-    ``hints`` are tried before the divisions in lexicographic order, which
-    stay exhaustive, so they never change the answer; nothing is admitted.
+    ``hints``, (division, _bands(division)) pairs, go before every division
+    in lexicographic order, so they never change the answer; nothing is admitted.
     The griddings of pi for the matrix are those of its inverse for the
     transpose, columns and rows swapped; the inverse's index map is pi and
     the transpose's rows are the matrix's columns, so _least_rows takes each
     row division of pi as it is.
     """
-    divisions, tried = chain(hints, _division_sequences(len(entries), matrix.u)), 0
-    for tried, rows in enumerate(divisions, 1):
+    tried = 0
+    for tried, (rows, row_of) in enumerate(hints, 1):
+        if _least_rows(entries, matrix.columns, row_of) is not None:
+            return rows, tried
+    for tried, rows in enumerate(_division_sequences(len(entries), matrix.u), tried + 1):
         if _least_rows(entries, matrix.columns, _bands(rows)) is not None:
             return rows, tried
     return None, tried

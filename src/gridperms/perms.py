@@ -66,7 +66,7 @@ class Permutation(Value):
         tokens = text.replace(",", " ").split()
         if len(tokens) == 1 and len(tokens[0]) > 1:
             token = tokens[0]
-            if not token.isdecimal():
+            if not (token.isascii() and token.isdecimal()):
                 raise ValueError(f"cannot parse permutation from {text!r}")
             if len(token) > 9:
                 raise ValueError(
@@ -77,13 +77,16 @@ class Permutation(Value):
         return cls(_ints(tokens, "permutation", text))
 
 
-def _ints(fields: Iterable[str], what: str, text: str) -> tuple[int, ...]:
-    """The fields as ints, the one integer reader of every text format: a
-    field ``int`` refuses raises ValueError("cannot parse <what> from '<text>'")."""
+def _ints(fields: Sequence[str], what: str, text: str) -> tuple[int, ...]:
+    """The fields as ints, the one integer reader of every text format: a field
+    that is not an optional ``-`` and ASCII digits, or is past ``int``'s digit
+    limit, raises ValueError("cannot parse <what> from '<text>'")."""
     try:
-        return tuple(int(field) for field in fields)
+        if all(field.isascii() and field.removeprefix("-").isdigit() for field in fields):
+            return tuple(map(int, fields))
     except ValueError:
-        raise ValueError(f"cannot parse {what} from {text!r}") from None
+        pass
+    raise ValueError(f"cannot parse {what} from {text!r}")
 
 
 def pattern_of(values: Sequence[int]) -> Permutation:

@@ -380,6 +380,11 @@ def test_usage_errors_exit_two(capsys, tmp_path, demo_file):
     assert "cannot parse signs" in payload["message"]
     assert payload["message"] == "cannot parse signs from '1,x'"
 
+    code, out = run(capsys, "--json", "encode", demo_file, "1,1", "--col-signs=+1,1,1")
+    assert code == 2
+    assert json.loads(out) == {"error": "BAD-INPUT",
+                               "message": "cannot parse signs from '+1,1,1'"}
+
     code, out = run(capsys, "--json", "enum", demo_file, "12")
     assert code == 2
     payload = json.loads(out)

@@ -61,6 +61,11 @@ def test_parse_word_rejects_garbage():
             parse_word(text)
     with pytest.raises(ValueError, match="cannot parse letter from '1,x'"):
         parse_word("1,x")
+    # integers are an optional - and ASCII digits, as format_word prints them
+    for token in ["1_0,1", "+1,1", "1,٣"]:
+        with pytest.raises(ValueError) as refusal:
+            parse_word(token)
+        assert str(refusal.value) == f"cannot parse letter from {token!r}"
 
 
 # encode

@@ -9,7 +9,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gridperms
 from gridperms import (
@@ -28,7 +29,9 @@ from gridperms import (
     find_gridding,
     find_signs,
     in_grid_class,
+    is_forest,
     pattern_of,
+    row_column_graph,
 )
 from gridperms.codec import _extend, _spell
 from gridperms.enumeration import _class_levels, _hints, _lifts
@@ -349,8 +352,9 @@ def test_word_sweep_checks_signs_on_entry(n):
 ])
 def test_word_sweep_encodes_one_word_per_trace(monkeypatch, text, n_max, tail):
     # Cartier-Foata: exactly one normal form per trace, cycles included.
-    # _spell spells each prefix of length n - 1 and _extend each leaf; at
-    # n = 0 the one leaf is _spell's.
+    # _spell spells each prefix of length n - 2 (the empty word at n = 1)
+    # and _extend each normal form of length n - 1 and each leaf; at n = 0
+    # the one leaf is _spell's.
     m = GridMatrix.parse(text)
     signs = find_signs(m)
     traces = trace_counts(m, n_max)
@@ -361,9 +365,9 @@ def test_word_sweep_encodes_one_word_per_trace(monkeypatch, text, n_max, tail):
         spelled.append(None)
         return _spell(*args)
 
-    def counting_extend(*args):
-        extended.append(None)
-        return _extend(*args)
+    def counting_extend(spelled, letter, signs):
+        extended.append(len(spelled[0]) + 1)
+        return _extend(spelled, letter, signs)
 
     monkeypatch.setattr("gridperms.enumeration._spell", counting_spell)
     monkeypatch.setattr("gridperms.enumeration._extend", counting_extend)
@@ -371,8 +375,9 @@ def test_word_sweep_encodes_one_word_per_trace(monkeypatch, text, n_max, tail):
         spelled.clear()
         extended.clear()
         enumerate_via_words(m, signs, n)
-        assert len(extended if n else spelled) == traces[n], n
-        assert len(spelled) == traces[max(n - 1, 0)], n
+        lengths = [n - 1] * traces[n - 1] * (n > 1) + [n] * traces[n] * (n > 0)
+        assert sorted(extended) == lengths, n
+        assert len(spelled) == traces[max(n - 2, 0)], n
 
 
 def test_word_images_length_one(demo_matrix, demo_signs):
@@ -522,15 +527,19 @@ def test_lifts_are_the_extreme_divisions_that_delete_to_the_witness():
 def test_hints_lift_each_witness_at_its_deleted_point():
     # Every value is a boundary of (1, 2, 3, 4, 5), so each lift shows where
     # the point went back in: at its value, on the rows the walk searches.
-    # The level holds exactly the child's other deletions.
+    # The level holds exactly the child's other deletions; the parent's
+    # division comes lifted at n and banded, as the walk hands it over.
     parent, n, every = (3, 1, 4, 2), 5, (1, 2, 3, 4, 5)
+    lifted = [(rows, _bands(rows)) for rows in _lifts(every, n, n)]
     for j in range(n):
         child = parent[:j] + (n,) + parent[j:]
         level = {tuple(w - (w > v) for w in child if w != v): every for v in parent}
         expected = []
         for point in (n,) + parent:
-            expected += _lifts(every, point, n)
-        assert list(_hints(child, every, level)) == expected, j
+            expected += [(rows, _bands(rows)) for rows in _lifts(every, point, n)]
+        hints = list(_hints(child, lifted, level))
+        assert hints == expected, j
+        assert all(hint is pair for hint, pair in zip(hints, lifted)), j
 
 
 # The 1x4 is walked as its 4x1 transpose, as the sweeps walk it.
@@ -561,7 +570,8 @@ def test_class_sweep_hints_are_divisions_of_the_candidate(monkeypatch, text, cou
         hints = list(hints)
         n = len(entries)
         assert hints or n == 1
-        assert set(hints) <= set(division_sequences(n, parts)), entries
+        assert {rows for rows, _ in hints} <= set(division_sequences(n, parts)), entries
+        assert all(row_of == _bands(rows) for rows, row_of in hints), entries
         return _witness(entries, matrix, hints)
 
     monkeypatch.setattr("gridperms.enumeration._witness", checking_witness)
@@ -602,6 +612,40 @@ def test_column_axis_class_matches_factorial_filter(text, counts):
         assert enumerate_class(m, n) == filter_class(m, n), n
 
 
+# Three symmetries of the plot, each as (on the matrix's columns, on the
+# entries): the left-right mirror reverses the columns and flips each cell's
+# monotonicity, the up-down mirror reverses each column's rows and flips it,
+# and the diagonal mirror transposes the matrix and inverts pi.
+SYMMETRIES = {
+    "reverse": (lambda cols: [[-e for e in col] for col in reversed(cols)],
+                lambda entries: entries[::-1]),
+    "complement": (lambda cols: [[-e for e in reversed(col)] for col in cols],
+                   lambda entries: tuple(len(entries) + 1 - v for v in entries)),
+    "inverse": (lambda cols: list(zip(*cols)), _inverse),
+}
+
+
+@given(matrices(), st.sampled_from(sorted(SYMMETRIES)))
+@settings(max_examples=60, deadline=None)
+@example(GridMatrix.parse(DEMO_MATRIX_TEXT), "inverse")
+@example(GridMatrix.parse(M33_TEXT), "complement")
+@example(GridMatrix.parse("+ .\n+ -"), "reverse")
+@example(GridMatrix.parse("+ +\n+ +"), "inverse")
+def test_sweeps_commute_with_the_symmetries(m, name):
+    # An oracle that shares no code with the sweeps: each symmetry maps the
+    # class of M onto the class of its image, and so the word images too
+    # where both sweeps agree, on forests.  Shapes 1x1 to 3x3, so both walks
+    # run upright and transposed.
+    on_matrix, on_entries = SYMMETRIES[name]
+    image = GridMatrix(on_matrix(m.columns))
+    forest = is_forest(row_column_graph(m))
+    for n in range(6):
+        members = {Permutation(on_entries(pi.entries)) for pi in enumerate_class(m, n)}
+        assert enumerate_class(image, n) == members, n
+        if forest:
+            assert enumerate_via_words(image, find_signs(image), n) == members, n
+
+
 @pytest.mark.parametrize(
     "text", [DEMO_MATRIX_TEXT, "+ .\n+ -", "+ +\n+ +", ". . +\n. - +\n+ + ."]
 )
@@ -629,9 +673,12 @@ def test_word_sweep_encodes_each_gridded_image_once(monkeypatch, text):
 
     monkeypatch.setattr("gridperms.enumeration._extend", recording_extend)
     enumerate_via_words(m, signs, 5)
-    every_word = product(sorted(alphabet(m)), repeat=5)
-    assert len(encoded) == len(set(encoded))
-    assert set(encoded) == {encode(m, signs, word) for word in every_word}
+    # the prefixes of length 4 grow into the leaves of length 5
+    for n in (4, 5):
+        at_n = [gp for gp in encoded if len(gp.perm) == n]
+        every_word = product(sorted(alphabet(m)), repeat=n)
+        assert len(at_n) == len(set(at_n)), n
+        assert set(at_n) == {encode(m, signs, word) for word in every_word}, n
 
 
 @pytest.mark.parametrize(
@@ -639,13 +686,15 @@ def test_word_sweep_encodes_each_gridded_image_once(monkeypatch, text):
              "- +\n. +\n+ .", "+ . -\n. . .\n- . +"]
 )
 def test_word_sweep_spells_what_encode_spells(monkeypatch, text):
-    # Every normal form up to length 7, cycles included: each prefix is the
-    # word the sweep hands to _spell, each leaf is that prefix and the letter
-    # it hands to _extend, and each new image's divisions are the ones it
-    # hands to the cell rule right after that leaf's _extend.
+    # Every normal form up to length 7, cycles included: each word the sweep
+    # hands to _spell, each prefix it hands to _extend (the spelled word or
+    # one grown from it by _extend and its divisions), each prefix with the
+    # letter it is extended by, and each new image's divisions, which it
+    # hands to the cell rule right after that leaf's _extend.  Each prefix's
+    # word is found from its entries, the very tuple _spell or _extend gave.
     m = GridMatrix.parse(text)
     signs = find_signs(m)
-    spelled, extended = [], []
+    spelled, extended, words = [], [], {}
 
     def check(word, result):
         gp = encode(m, signs, word)
@@ -655,12 +704,17 @@ def test_word_sweep_spells_what_encode_spells(monkeypatch, text):
         result = _spell(word, signs)
         spelled.append(tuple(word))
         check(spelled[-1], result)
+        words[id(result[0])] = result[0], spelled[-1]
         return result
 
     def checking_extend(prefix, letter, signs):
+        held, word = words[id(prefix[0])]
+        assert held is prefix[0]
+        check(word, prefix)
         result = _extend(prefix, letter, signs)
-        extended.append(spelled[-1] + (letter,))
+        extended.append(word + (letter,))
         assert result == encode(m, signs, extended[-1]).perm.entries, extended[-1]
+        words[id(result)] = result, extended[-1]
         return result
 
     def checking_cells(entries, columns, row_of, cols):
@@ -675,8 +729,10 @@ def test_word_sweep_spells_what_encode_spells(monkeypatch, text):
     for n in range(8):
         spelled.clear()
         extended.clear()
+        words.clear()
         enumerate_via_words(m, signs, n)
-        leaves += len(extended if n else spelled)
+        assert {len(word) for word in spelled} == {max(n - 2, 0)}, n
+        leaves += sum(len(word) == n for word in extended) if n else len(spelled)
     assert leaves == sum(trace_counts(m, 7))
 
 

@@ -89,6 +89,11 @@ def test_gridding_parse_rejects_garbage():
             Gridding.parse(text)
     with pytest.raises(ValueError, match="cannot parse gridding from 'cols=1,x rows=1,2'"):
         Gridding.parse("cols=1,x rows=1,2")
+    # integers are an optional - and ASCII digits, as format prints them
+    for text in ["cols=1,+3 rows=1,3", "cols=1,0_3 rows=1,3", "cols=1,٣ rows=1,3"]:
+        with pytest.raises(ValueError) as refusal:
+            Gridding.parse(text)
+        assert str(refusal.value) == f"cannot parse gridding from {text!r}"
 
 
 # check_gridding
@@ -254,7 +259,7 @@ def test_witness_hint_never_changes_the_answer(case):
         entries, searched = inverse(pi).entries, transpose(m)
     else:
         entries, searched = pi.entries, m
-    found, _ = _witness(entries, searched, iter(hints))
+    found, _ = _witness(entries, searched, iter([(h, _bands(h)) for h in hints]))
     assert (found is not None) == in_grid_class(pi, m)
     if found is not None:
         # rows of the searched matrix and the least columns they admit,
@@ -275,7 +280,7 @@ def test_witness_counts_the_divisions_it_tries(case):
         entries, searched = inverse(pi).entries, transpose(m)
     else:
         entries, searched = pi.entries, m
-    found, tried = _witness(entries, searched, iter(hints))
+    found, tried = _witness(entries, searched, iter([(h, _bands(h)) for h in hints]))
     order = hints + list(_division_sequences(len(pi), searched.u))
     assert tried == (len(order) if found is None else order.index(found) + 1)
 

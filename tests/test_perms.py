@@ -70,6 +70,11 @@ def test_parse_rejects_garbage():
         Permutation.parse("1²")
     with pytest.raises(ValueError, match="cannot parse permutation from '1 x 3'"):
         Permutation.parse("1 x 3")
+    # integers are an optional - and ASCII digits, as str prints them
+    for text in ["+2 1", "1_0 2", " 2,+1", "٢١", "٢ ١"]:
+        with pytest.raises(ValueError) as refusal:
+            Permutation.parse(text)
+        assert str(refusal.value) == f"cannot parse permutation from {text.strip()!r}"
 
 
 def test_parse_digit_form_stops_at_nine():
