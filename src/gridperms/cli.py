@@ -5,11 +5,12 @@ exit code, a plain text and a JSON payload; ``main`` is the one place that
 prints, the payload under ``--json`` and the text otherwise.  The text is
 the same serialization the flags accept, so outputs can be piped back in.
 Exit codes: 0 success, 1 negative domain answer (NOT-A-MEMBER,
-NOT-PARTIAL-MULTIPLICATION, INCONSISTENT-ORDERS, INVALID), 2 usage or
-parse errors.  Under ``--json`` an exit-2 error prints one object on stdout,
-``{"error": "LIMIT-EXCEEDED", "message": ...}`` for an oversized search and
-``{"error": "BAD-INPUT", "message": ...}`` for an unreadable or malformed
-input; argparse's own usage errors stay plain text on stderr.
+NOT-PARTIAL-MULTIPLICATION, INCONSISTENT-ORDERS, INVALID), 2 usage or parse
+errors; argparse converts no value, so ``+3`` as a length fails as ``cannot
+parse length from '+3'``.  Under ``--json`` an exit-2 error prints one object
+on stdout, ``{"error": "LIMIT-EXCEEDED", "message": ...}`` for an oversized
+search and ``{"error": "BAD-INPUT", "message": ...}`` for an unreadable or
+malformed input; argparse's own usage errors stay plain text on stderr.
 """
 from __future__ import annotations
 
@@ -102,13 +103,15 @@ def cmd_decode(matrix: GridMatrix, args: argparse.Namespace) -> Result:
 
 
 def cmd_enum(matrix: GridMatrix, args: argparse.Namespace) -> Result:
-    members = sorted(enumerate_class(matrix, args.n), key=lambda p: p.entries)
+    n, = _ints([args.n], "length", args.n)
+    members = sorted(enumerate_class(matrix, n), key=lambda p: p.entries)
     perms = [str(pi) for pi in members]
-    return 0, "\n".join(perms), {"n": args.n, "perms": perms}
+    return 0, "\n".join(perms), {"n": n, "perms": perms}
 
 
 def cmd_count(matrix: GridMatrix, args: argparse.Namespace) -> Result:
-    counts = counting_sequence(matrix, args.n_max)
+    n_max, = _ints([args.n_max], "length", args.n_max)
+    counts = counting_sequence(matrix, n_max)
     return 0, ",".join(str(c) for c in counts), {"counts": list(counts)}
 
 
@@ -168,10 +171,10 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("gridding", nargs="+", metavar="cols=... rows=...")
 
     p = command("enum", cmd_enum, "all class members of one length")
-    p.add_argument("n", type=int)
+    p.add_argument("n")
 
     p = command("count", cmd_count, "class sizes at lengths 1..n_max")
-    p.add_argument("n_max", type=int)
+    p.add_argument("n_max")
 
     p = command("graph", cmd_graph, "row-column or cell graph edge list")
     p.add_argument("--cell", action="store_true", help="cell graph instead")

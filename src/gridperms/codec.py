@@ -117,7 +117,7 @@ def _extend(spelled: tuple[tuple[int, ...], ...], letter: Letter,
     appended, given what it gives for the word.  The newest entry of column
     k ends it (c_k = +1) or starts it and tops row l (r_l = +1) or bottoms
     it; values at or above its own move up one.  The divisions after k and
-    after l would grow by one; the word sweep grows them where it needs them."""
+    after l grow by one (_grow); the word sweep grows them where it needs them."""
     entries, cols, rows = spelled
     k, l = letter
     index = cols[k] if signs.col_signs[k - 1] == 1 else cols[k - 1]
@@ -125,6 +125,14 @@ def _extend(spelled: tuple[tuple[int, ...], ...], letter: Letter,
     grown = [e if e < value else e + 1 for e in entries]
     grown.insert(index - 1, value)
     return tuple(grown)
+
+
+def _grow(spelled: tuple[tuple[int, ...], ...], letter: Letter) -> tuple[tuple[int, ...], ...]:
+    """The divisions ``_spell`` gives for a word with the letter (k, l) appended,
+    given what it gives for the word: those after k and after l grow by one."""
+    (_, cols, rows), (k, l) = spelled, letter
+    return (cols[:k] + tuple([b + 1 for b in cols[k:]]),
+            rows[:l] + tuple([b + 1 for b in rows[l:]]))
 
 
 def subword_leq(v: Word, w: Word) -> bool:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from . import gridding
-from .codec import Letter, _check_signs, _extend, _spell
+from .codec import Letter, _check_signs, _extend, _grow, _spell
 from .graphs import SignAssignment
 from .gridding import _admit, _bands, _bands_valid, _upright, _witness
 from .matrices import GridMatrix
@@ -149,14 +149,6 @@ def _trace_masks(letters: tuple[Letter, ...]) -> list[tuple[Letter, int, int, in
     return [((k, l), 1 << i, (1 << i) - 1,
              sum(1 << j for j, (x, y) in enumerate(letters) if x != k and y != l))
             for i, (k, l) in enumerate(letters)]
-
-
-def _grow(spelled: tuple[tuple[int, ...], ...], letter: Letter) -> tuple[tuple[int, ...], ...]:
-    """The divisions ``_spell`` gives for a word with the letter (k, l) appended,
-    given what it gives for the word: those after k and after l grow by one."""
-    (_, cols, rows), (k, l) = spelled, letter
-    return (cols[:k] + tuple([b + 1 for b in cols[k:]]),
-            rows[:l] + tuple([b + 1 for b in rows[l:]]))
 
 
 def enumerate_via_words(

@@ -251,3 +251,27 @@ def trace_counts(matrix, n_max):
             for size in range(1, min(n, len(cells)) + 1)
         ))
     return counts
+
+
+def recurrence(seq):
+    """The shortest (c1, ..., cd) with a_n = c1 a_(n-1) + ... + cd a_(n-d) for
+    every n >= d in seq: Berlekamp-Massey over the rationals, exact."""
+    terms = [Fraction(a) for a in seq]
+    # connection polynomials 1 - c1 x - ... - cd x ** d, as coefficient lists
+    current, previous = [Fraction(1)], [Fraction(1)]
+    order, shift, previous_gap = 0, 1, Fraction(1)
+    for n, term in enumerate(terms):
+        gap = term + sum(current[i] * terms[n - i] for i in range(1, order + 1))
+        if gap == 0:
+            shift += 1
+            continue
+        before = current[:]
+        current += [Fraction(0)] * (len(previous) + shift - len(current))
+        for i, coefficient in enumerate(previous):
+            current[i + shift] -= gap / previous_gap * coefficient
+        if 2 * order <= n:
+            order, previous, previous_gap, shift = n + 1 - order, before, gap, 1
+        else:
+            shift += 1
+    current += [Fraction(0)] * (order + 1 - len(current))
+    return tuple(-c for c in current[1:order + 1])

@@ -415,6 +415,22 @@ def test_count_refuses_negative_length(capsys, demo_file):
     assert payload["message"]
 
 
+@pytest.mark.parametrize("command", ["count", "enum"])
+@pytest.mark.parametrize("text", ["+3", " 3", "0_3", "٣", "1e3", "abc"])
+def test_lengths_follow_the_integer_grammar(capsys, demo_file, command, text):
+    # int() reads the first four as 3; the CLI reads lengths as the formats
+    # read integers, an optional - and ASCII digits, through main's error path
+    message = f"cannot parse length from {text!r}"
+    assert main([command, demo_file, text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert main(["--json", command, demo_file, text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == json.dumps({"error": "BAD-INPUT", "message": message}) + "\n"
+    assert captured.err == ""
+
+
 def test_encode_rejects_letters_outside_alphabet(capsys, demo_file):
     assert main(["encode", demo_file, "1,2"]) == 2
     capsys.readouterr()

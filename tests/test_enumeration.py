@@ -38,7 +38,7 @@ from gridperms.enumeration import _class_levels, _hints, _lifts
 from gridperms.gridding import _bands, _bands_valid, _inverse, _least_rows, _transpose, _witness
 
 from .conftest import DEMO_MATRIX_TEXT
-from .oracles import division_sequences, filter_class, trace_counts, word_images
+from .oracles import division_sequences, filter_class, recurrence, trace_counts, word_images
 from .strategies import matrices
 
 ONE_ROW = GridMatrix.parse("+ +")
@@ -790,3 +790,34 @@ def test_growth_ratio_near_squared_spectral_radius(text):
     rho_squared = max(numpy.linalg.eigvalsh(adjacency)) ** 2
     counts = counting_sequence(m, 8)
     assert rho_squared <= counts[7] / counts[6] <= 1.1 * rho_squared
+
+
+def test_recurrence_oracle_finds_the_shortest_fit():
+    assert recurrence([1, 1, 2, 3, 5, 8, 13]) == (1, 1)
+    assert recurrence([1, 1, 2, 4, 8, 16]) == (2, 0)  # a_1 = 1 breaks order 1
+    assert recurrence([0, 0, 0]) == ()
+
+
+@pytest.mark.parametrize("text, fit, held_out, rho_squared", [
+    (DEMO_MATRIX_TEXT, (7, -16, 13, -3), (7258, 22760), 3),
+    ("+ .\n+ -", (6, -12, 9, -2), (3670, 9923, 26610), (3 + 5 ** 0.5) / 2),
+], ids=["DEMO", "M22"])
+def test_counts_follow_a_rational_recurrence(text, fit, held_out, rho_squared):
+    # Forest classes are geometric, so their generating functions are
+    # rational: a recurrence fitted on a_0..a_8 predicts the later terms, and
+    # its dominant root is rho(G) ** 2 of the row-column graph (Bevan), here
+    # the paths on five and four vertices.
+    numpy = pytest.importorskip("numpy")
+    m = GridMatrix.parse(text)
+    counts = (1, *counting_sequence(m, 8 + len(held_out)))
+    coefficients = recurrence(counts[:9])
+    assert coefficients == fit
+    for n in range(9, len(counts)):
+        assert sum(c * counts[n - i] for i, c in enumerate(coefficients, 1)) == counts[n]
+    assert counts[9:] == held_out
+    adjacency = numpy.zeros((m.t + m.u, m.t + m.u))
+    for k, l in m.nonzero_cells():
+        adjacency[k - 1, m.t + l - 1] = adjacency[m.t + l - 1, k - 1] = 1
+    assert max(numpy.linalg.eigvalsh(adjacency)) ** 2 == pytest.approx(rho_squared, abs=1e-9)
+    root = max(numpy.roots([1, *(-float(c) for c in coefficients)]), key=abs)
+    assert abs(root - rho_squared) < 1e-9
