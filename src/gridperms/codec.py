@@ -111,28 +111,32 @@ def _spell(
             tuple(accumulate(map(len, by_row), initial=1)))
 
 
-def _extend(spelled: tuple[tuple[int, ...], ...], letter: Letter,
-            signs: SignAssignment) -> tuple[int, ...]:
-    """The entries ``_spell`` gives for a word with the letter (k, l)
-    appended, given what it gives for the word.  The newest entry of column
-    k ends it (c_k = +1) or starts it and tops row l (r_l = +1) or bottoms
-    it; values at or above its own move up one.  The divisions after k and
-    after l grow by one (_grow); the word sweep grows them where it needs them."""
-    entries, cols, rows = spelled
-    k, l = letter
-    index = cols[k] if signs.col_signs[k - 1] == 1 else cols[k - 1]
-    value = rows[l] if signs.row_signs[l - 1] == 1 else rows[l - 1]
+def _slots(letter: Letter, signs: SignAssignment) -> tuple[int, int]:
+    """The column and row division slots that give the index and value of
+    the entry the letter (k, l) appends (_extend): k and l where c_k and r_l
+    are +1, ending column k and topping row l, else k - 1 and l - 1."""
+    (k, l), c, r = letter, signs.col_signs, signs.row_signs
+    return k - (c[k - 1] == -1), l - (r[l - 1] == -1)
+
+
+def _extend(entries: tuple[int, ...], index: int, value: int) -> tuple[int, ...]:
+    """The entries ``_spell`` gives for a word with one more letter, given
+    what it gives for the word and the new entry's index and value: values at
+    or above it move up one.  Its divisions grow where a caller needs them."""
     grown = [e if e < value else e + 1 for e in entries]
     grown.insert(index - 1, value)
     return tuple(grown)
 
 
-def _grow(spelled: tuple[tuple[int, ...], ...], letter: Letter) -> tuple[tuple[int, ...], ...]:
-    """The divisions ``_spell`` gives for a word with the letter (k, l) appended,
-    given what it gives for the word: those after k and after l grow by one."""
-    (_, cols, rows), (k, l) = spelled, letter
-    return (cols[:k] + tuple([b + 1 for b in cols[k:]]),
-            rows[:l] + tuple([b + 1 for b in rows[l:]]))
+def _grow(divisions: tuple[int, ...], *bands: int) -> tuple[int, ...]:
+    """The column (or row) divisions ``_spell`` gives for a word with letters
+    in these columns (or rows) appended, given what it gives for the word:
+    each grows those after its band by one, and one past the last none."""
+    grown = list(divisions)
+    for band in bands:
+        for j in range(band, len(grown)):
+            grown[j] += 1
+    return tuple(grown)
 
 
 def subword_leq(v: Word, w: Word) -> bool:

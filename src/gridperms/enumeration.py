@@ -9,19 +9,21 @@ division that admitted each, and each member of the level below keeps its
 active sites as a bit mask.  An extension goes through the gridding search
 only when each of its other deletions is a member, one mask lookup per
 deleted value, so the search runs only on members and basis elements.  It
-tries the parent's witness division, lifted and banded once per parent, then
-each deletion's, lifted by re-inserting the deleted value, and then every
-division, so no answer depends on the hints.  A matrix with fewer columns
-than rows is walked as its transpose, whose members are the class's inverses.
+tries the parent's witness division, lifted once per parent, then each
+deletion's, lifted by re-inserting the deleted value, and then every
+division, so no answer depends on the hints; each distinct hint is banded
+once per length.  A matrix with fewer columns than rows is walked as its
+transpose, whose members are the class's inverses.
 ``enumerate_via_words`` encodes the lexicographic normal forms of traces:
 letters whose cells share neither a column nor a row commute without
 changing the encoded gridded permutation, so one word per commutation class
 suffices.  A mask of the letters barred after each prefix admits a letter in
 one test.  The sweep carries only its word: it spells each length-(n-2)
-normal form once, through ``encode``'s core, and grows each length-(n-1) and
-then length-n one from it by one insertion each.  Each distinct image is
-checked once, with ``check_gridding``'s cell rule, when first spelled: only
-then are its divisions and its ``Permutation`` built.  For matrices whose
+normal form once, through ``encode``'s core, and places each length-(n-1)
+and then length-n one by one insertion each at that spelling's divisions.
+Each distinct image is checked once, with ``check_gridding``'s cell rule,
+when first spelled: only then are its divisions grown and banded, once per
+distinct division, and its ``Permutation`` built.  For matrices whose
 row-column graph is a forest the two agree; comparing them is the main
 cross-check this module exists for.
 Both draw on ``gridding.SEARCH_BUDGET``: the word sweep counts |alphabet| ** k
@@ -31,10 +33,11 @@ does, then meter their walks' steps.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from functools import cache
 
 from . import gridding
-from .codec import Letter, _check_signs, _extend, _grow, _spell
+from .codec import Letter, _check_signs, _extend, _grow, _slots, _spell
 from .graphs import SignAssignment
 from .gridding import _admit, _bands, _bands_valid, _upright, _witness
 from .matrices import GridMatrix
@@ -57,8 +60,9 @@ def _class_levels(
     v gives a member: j - (p < j) must be an active site of P less v, one
     mask lookup per (P, v).  The gridding search runs only on the candidates
     that pass, which are the members and the basis elements of length n,
-    and tries _hints before the exhaustive search; the parent's division,
-    which every child tries first, is lifted and banded once per parent.
+    and tries _hints before the exhaustive search, each distinct division
+    banded once per level; the parent's division, which every child tries
+    first, is lifted once per parent.
 
     Callers orient and admit through _upright.  The walk charges n * n steps
     per parent at length n (n - 1 deletion lookups of n - 1 entries, and n
@@ -71,7 +75,7 @@ def _class_levels(
     sites: dict[tuple[int, ...], int] = {}
     yield level
     for n in range(1, n_max + 1):
-        members, grown = {}, {}
+        members, grown, band = {}, {}, cache(_bands)
         for parent, division in level.items():
             steps += n * n
             # site s of the parent's deletion at index p is open at j = s
@@ -80,12 +84,12 @@ def _class_levels(
             for p, v in enumerate(parent):
                 active = sites[tuple([w - (w > v) for w in parent if w != v])]
                 open_sites &= (active & ((2 << p) - 1)) | (active >> p << (p + 1))
-            lifted = [(rows, _bands(rows)) for rows in _lifts(division, n, n)]
+            lifted = [(rows, band(rows)) for rows in _lifts(division, n, n)]
             mask = 0
             for j in range(n):
                 if open_sites >> j & 1:
                     child = parent[:j] + (n,) + parent[j:]
-                    witness, tried = _witness(child, matrix, _hints(child, lifted, level))
+                    witness, tried = _witness(child, matrix, _hints(child, lifted, level, band))
                     steps += tried * (n + u)
                     if steps > budget:
                         raise gridding.LimitExceededError(
@@ -115,7 +119,7 @@ def _lifts(division: tuple[int, ...], x: int, n: int) -> Iterator[tuple[int, ...
 
 def _hints(
     child: tuple[int, ...], lifted: list[tuple[tuple[int, ...], list[int]]],
-    level: dict[tuple[int, ...], tuple[int, ...]],
+    level: dict[tuple[int, ...], tuple[int, ...]], band: Callable[[tuple[int, ...]], list[int]],
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """The divisions a length-n candidate tries first, banded: ``lifted``, its
     parent's witness division lifted at the value n, then the witness in
@@ -125,7 +129,7 @@ def _hints(
     for v in child:
         if v != n:
             for rows in _lifts(level[tuple([w - (w > v) for w in child if w != v])], v, n):
-                yield rows, _bands(rows)
+                yield rows, band(rows)
 
 
 def enumerate_class(matrix: GridMatrix, n: int) -> set[Permutation]:
@@ -160,11 +164,13 @@ def enumerate_via_words(
     permutation, so only the lexicographic trace normal forms are encoded;
     the image set is that of all |alphabet| ** n words.  Masks admit each
     next letter in one test (_trace_masks).  Each length-(n - 2) normal form is
-    spelled once (_spell), each length-(n - 1) one grown from it by _extend and
-    _grow, and each length-n one by _extend alone.  A new image's divisions are
-    then grown and checked with the cell rule, and the image built.  Signs that
-    do not match the matrix, and lengths whose word tree is over the search
-    budget, are refused before any work.
+    spelled once (_spell), each length-(n - 1) one is its entries with one
+    _extend, kept with its last letter (k', l'), and each leaf is one more, at
+    the grandparent's divisions at its letter's _slots, plus one at or past
+    k' or l'.  Only a new image's divisions are grown (_grow), banded (once
+    per division) and checked with the cell rule before the image is built.
+    Signs that do not match the matrix, and lengths whose word tree is over
+    the search budget, are refused before any work.
     """
     _check_signs(matrix, signs)
     letters = matrix.nonzero_cells()
@@ -173,7 +179,9 @@ def enumerate_via_words(
         return {Permutation(_spell((), signs)[0])}
     # at n = 1 no letter follows another, so none is barred and no mask built
     masks = _trace_masks(letters) if n > 1 else [(letter, 0, 0, 0) for letter in letters]
+    masks = [(letter, *_slots(letter, signs), *rest) for letter, *rest in masks]
     images: dict[tuple[int, ...], Permutation] = {}
+    band = cache(_bands)
     # Depth-first with an explicit stack, so long words cannot exhaust the
     # recursion limit; entries (depth, letter, blocked) extend one shared
     # prefix, word, cut back to its first depth letters on each pop.
@@ -183,25 +191,27 @@ def enumerate_via_words(
     while True:
         if depth < n - 2:
             stack += [(depth, letter, (blocked | below) & commute)
-                      for letter, bit, below, commute in masks if not blocked & bit]
+                      for letter, _, _, bit, below, commute in masks if not blocked & bit]
         else:
-            spelled = _spell(word, signs)
-            # the length-(n - 1) normal forms, or at n = 1 the empty word
-            prefixes = [(spelled, blocked)] if n == 1 else [
-                ((_extend(spelled, letter, signs), *_grow(spelled, letter)),
-                 (blocked | below) & commute)
-                for letter, bit, below, commute in masks if not blocked & bit]
-            for prefix, after in prefixes:
-                for letter, bit, _, _ in masks:
+            entries, cols, rows = _spell(word, signs)
+            # the length-(n - 1) normal forms with their last letters, or at
+            # n = 1 the empty word with a letter past every division slot
+            prefixes = [(entries, (len(cols), len(rows)), blocked)] if n == 1 else [
+                (_extend(entries, cols[i], rows[v]), letter, (blocked | below) & commute)
+                for letter, i, v, bit, below, commute in masks if not blocked & bit]
+            for prefix, (k, l), after in prefixes:
+                for (x, y), i, v, bit, _, _ in masks:
                     if after & bit:
                         continue
-                    entries = _extend(prefix, letter, signs)
+                    # the prefix's divisions: its letter grew those from slots k and l on
+                    leaf = _extend(prefix, cols[i] + (i >= k), rows[v] + (v >= l))
                     # check_gridding's cell rule, on each image's first spelling
-                    if entries not in images:
-                        cols, rows = _grow(prefix, letter)
-                        if not _bands_valid(entries, matrix.columns, _bands(rows), cols):
-                            raise ValueError(f"{entries} has no valid gridding {cols} x {rows}")
-                        image = Permutation(entries)
+                    if leaf not in images:
+                        leaf_cols, leaf_rows = _grow(cols, k, x), _grow(rows, l, y)
+                        if not _bands_valid(leaf, matrix.columns, band(leaf_rows), leaf_cols):
+                            raise ValueError(
+                                f"{leaf} has no valid gridding {leaf_cols} x {leaf_rows}")
+                        image = Permutation(leaf)
                         images[image.entries] = image
         if not stack:
             return set(images.values())

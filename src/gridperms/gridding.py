@@ -199,6 +199,8 @@ def _band_start(
     and n + 1 in a 0 cell.  Shrinking a band never breaks a cell, so the
     first value that fails bounds every valid start.
     """
+    if top <= floor:
+        return top
     stop = len(index_of) + 1
     last = [stop] * len(line)
     value = top - 1

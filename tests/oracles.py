@@ -253,6 +253,20 @@ def trace_counts(matrix, n_max):
     return counts
 
 
+def is_normal_form(word) -> bool:
+    """Whether the word is the lexicographically least word of its trace:
+    no letter commutes with every letter from an earlier, greater one up to
+    it (Anisimov-Knuth), letters commuting when their cells share neither a
+    column nor a row."""
+    for j, (k, l) in enumerate(word):
+        for i in range(j - 1, -1, -1):
+            if word[i][0] == k or word[i][1] == l:
+                break
+            if word[i] > word[j]:
+                return False
+    return True
+
+
 def recurrence(seq):
     """The shortest (c1, ..., cd) with a_n = c1 a_(n-1) + ... + cd a_(n-d) for
     every n >= d in seq: Berlekamp-Massey over the rationals, exact."""

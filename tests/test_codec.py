@@ -23,7 +23,7 @@ from gridperms import (
     row_col_orders,
     subword_leq,
 )
-from gridperms.codec import _extend, _spell
+from gridperms.codec import _extend, _grow, _slots, _spell
 
 from .conftest import DEMO_MATRIX_TEXT, DEMO_WORD_TEXT
 from .oracles import (
@@ -125,7 +125,8 @@ def test_encode_cells_and_counts(data):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_extend_spells_the_word_with_its_last_letter(data):
-    # the word sweep's leaves: one insertion into the spelling of the prefix
+    # the word sweep's leaves: one insertion into the spelling of the prefix,
+    # at its divisions' slots for the last letter, whose column and row grow
     m = data.draw(matrices())
     assume(not has_negative_cycle(m))
     word = data.draw(words_over(m))
@@ -133,7 +134,11 @@ def test_extend_spells_the_word_with_its_last_letter(data):
     signs = find_signs(m)
     negated = SignAssignment([-c for c in signs.col_signs], [-r for r in signs.row_signs])
     for s in (signs, negated):
-        assert _extend(_spell(word[:-1], s), word[-1], s) == encode(m, s, word).perm.entries
+        (entries, cols, rows), (k, l) = _spell(word[:-1], s), word[-1]
+        i, v = _slots(word[-1], s)
+        gp = encode(m, s, word)
+        assert _extend(entries, cols[i], rows[v]) == gp.perm.entries
+        assert (_grow(cols, k), _grow(rows, l)) == (gp.gridding.cols, gp.gridding.rows)
 
 
 @given(st.data())

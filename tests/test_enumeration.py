@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import gridperms
 from gridperms import (
-    GriddedPermutation,
     Gridding,
     GridMatrix,
     LimitExceededError,
@@ -28,6 +27,7 @@ from gridperms import (
     enumerate_via_words,
     find_gridding,
     find_signs,
+    has_negative_cycle,
     in_grid_class,
     is_forest,
     pattern_of,
@@ -38,7 +38,9 @@ from gridperms.enumeration import _class_levels, _hints, _lifts
 from gridperms.gridding import _bands, _bands_valid, _inverse, _least_rows, _transpose, _witness
 
 from .conftest import DEMO_MATRIX_TEXT
-from .oracles import division_sequences, filter_class, recurrence, trace_counts, word_images
+from .oracles import (
+    division_sequences, filter_class, is_normal_form, recurrence, trace_counts, word_images,
+)
 from .strategies import matrices
 
 ONE_ROW = GridMatrix.parse("+ +")
@@ -353,8 +355,8 @@ def test_word_sweep_checks_signs_on_entry(n):
 def test_word_sweep_encodes_one_word_per_trace(monkeypatch, text, n_max, tail):
     # Cartier-Foata: exactly one normal form per trace, cycles included.
     # _spell spells each prefix of length n - 2 (the empty word at n = 1)
-    # and _extend each normal form of length n - 1 and each leaf; at n = 0
-    # the one leaf is _spell's.
+    # and _extend inserts the last entry of each normal form of length n - 1
+    # and of each leaf; at n = 0 the one leaf is _spell's.
     m = GridMatrix.parse(text)
     signs = find_signs(m)
     traces = trace_counts(m, n_max)
@@ -365,9 +367,9 @@ def test_word_sweep_encodes_one_word_per_trace(monkeypatch, text, n_max, tail):
         spelled.append(None)
         return _spell(*args)
 
-    def counting_extend(spelled, letter, signs):
-        extended.append(len(spelled[0]) + 1)
-        return _extend(spelled, letter, signs)
+    def counting_extend(entries, index, value):
+        extended.append(len(entries) + 1)
+        return _extend(entries, index, value)
 
     monkeypatch.setattr("gridperms.enumeration._spell", counting_spell)
     monkeypatch.setattr("gridperms.enumeration._extend", counting_extend)
@@ -537,7 +539,7 @@ def test_hints_lift_each_witness_at_its_deleted_point():
         expected = []
         for point in (n,) + parent:
             expected += [(rows, _bands(rows)) for rows in _lifts(every, point, n)]
-        hints = list(_hints(child, lifted, level))
+        hints = list(_hints(child, lifted, level, _bands))
         assert hints == expected, j
         assert all(hint is pair for hint, pair in zip(hints, lifted)), j
 
@@ -656,26 +658,95 @@ def test_word_sweep_matches_every_word(text):
         assert enumerate_via_words(m, signs, n) == word_images(m, signs, n), n
 
 
+# Each leaf's index and value come from the division slots of its letter's
+# column and row, which every sign moves on its own, so every sign
+# assignment is swept, not only find_signs' and its negation.
+@given(matrices().filter(lambda m: not has_negative_cycle(m)))
+@settings(max_examples=60, deadline=None)
+def test_word_sweep_matches_every_word_under_every_sign_assignment(m):
+    for signs in product((1, -1), repeat=m.t + m.u):
+        signs = SignAssignment(signs[:m.t], signs[m.t:])
+        if signs.verify(m):
+            for n in range(5):
+                assert enumerate_via_words(m, signs, n) == word_images(m, signs, n), (signs, n)
+
+
+def test_normal_form_oracle_counts_the_traces():
+    # the two trace oracles share no code
+    for text in (DEMO_MATRIX_TEXT, "+ +\n+ +", "+ . -\n. . .\n- . +"):
+        m = GridMatrix.parse(text)
+        letters = sorted(alphabet(m))
+        counts = [sum(map(is_normal_form, product(letters, repeat=n))) for n in range(6)]
+        assert counts == trace_counts(m, 5), text
+
+
+@pytest.mark.parametrize("text", [DEMO_MATRIX_TEXT, M33_TEXT, "+ .\n+ -", "+\n+\n+\n+"])
+def test_sweeps_band_each_division_once(monkeypatch, text):
+    # one banding per distinct division: per call in the word sweep, per
+    # length in the class walk, whose divisions end at n + 1
+    m = GridMatrix.parse(text)
+    banded = []
+
+    def recording_bands(divisions):
+        banded.append(divisions)
+        return _bands(divisions)
+
+    monkeypatch.setattr("gridperms.enumeration._bands", recording_bands)
+    counting_sequence(m, 7)
+    assert banded and len(banded) == len(set(banded))
+    for n in range(1, 8):
+        banded.clear()
+        images = enumerate_via_words(m, find_signs(m), n)
+        assert len(banded) == len(set(banded)) <= len(images), n
+
+
+def spy_on_words(monkeypatch, m, signs):
+    """Spies on the word sweep's _spell and _extend that name the word each
+    spelling comes from: the lists of (word, what _spell gave) and of the
+    words whose entries _extend gave, in call order.  _extend is handed only
+    entries, an index and a value, so each call is named after the least
+    letter, past the last one taken from the same entries, that extends
+    their word to a normal form whose encoding has the entries it gives: the
+    sweep extends each normal form by its normal-form letters in order."""
+    letters = sorted(alphabet(m))
+    spelled, extended, words = [], [], {}
+
+    def tracking_spell(word, signs):
+        result = _spell(word, signs)
+        spelled.append((tuple(word), result))
+        words[id(result[0])] = [result[0], tuple(word), 0]
+        return result
+
+    def tracking_extend(entries, index, value):
+        record = words[id(entries)]
+        held, word, start = record
+        assert held is entries
+        result = _extend(entries, index, value)
+        for j in range(start, len(letters)):
+            longer = word + (letters[j],)
+            if is_normal_form(longer) and encode(m, signs, longer).perm.entries == result:
+                break
+        else:
+            raise AssertionError(f"no normal form after {word} spells {result}")
+        record[2] = j + 1
+        extended.append(longer)
+        words[id(result)] = [result, longer, 0]
+        return result
+
+    monkeypatch.setattr("gridperms.enumeration._spell", tracking_spell)
+    monkeypatch.setattr("gridperms.enumeration._extend", tracking_extend)
+    return spelled, extended
+
+
 @pytest.mark.parametrize("text", [DEMO_MATRIX_TEXT, "+ +\n+ +"])
 def test_word_sweep_encodes_each_gridded_image_once(monkeypatch, text):
     m = GridMatrix.parse(text)
     signs = find_signs(m)
-    encoded = []
-
-    def recording_extend(spelled, letter, signs):
-        entries = _extend(spelled, letter, signs)
-        # the leaf's letter adds one entry to its column and to its row
-        (_, cols, rows), (k, l) = spelled, letter
-        cols = cols[:k] + tuple(b + 1 for b in cols[k:])
-        rows = rows[:l] + tuple(b + 1 for b in rows[l:])
-        encoded.append(GriddedPermutation(Permutation(entries), m, Gridding(cols, rows)))
-        return entries
-
-    monkeypatch.setattr("gridperms.enumeration._extend", recording_extend)
+    _, extended = spy_on_words(monkeypatch, m, signs)
     enumerate_via_words(m, signs, 5)
     # the prefixes of length 4 grow into the leaves of length 5
     for n in (4, 5):
-        at_n = [gp for gp in encoded if len(gp.perm) == n]
+        at_n = [encode(m, signs, word) for word in extended if len(word) == n]
         every_word = product(sorted(alphabet(m)), repeat=n)
         assert len(at_n) == len(set(at_n)), n
         assert set(at_n) == {encode(m, signs, word) for word in every_word}, n
@@ -687,51 +758,29 @@ def test_word_sweep_encodes_each_gridded_image_once(monkeypatch, text):
 )
 def test_word_sweep_spells_what_encode_spells(monkeypatch, text):
     # Every normal form up to length 7, cycles included: each word the sweep
-    # hands to _spell, each prefix it hands to _extend (the spelled word or
-    # one grown from it by _extend and its divisions), each prefix with the
-    # letter it is extended by, and each new image's divisions, which it
-    # hands to the cell rule right after that leaf's _extend.  Each prefix's
-    # word is found from its entries, the very tuple _spell or _extend gave.
+    # hands to _spell, each entry _extend inserts into a normal form of
+    # length n - 2 or n - 1, named as spy_on_words names it, and each new
+    # image's divisions, which it hands to the cell rule right after that
+    # leaf's _extend.
     m = GridMatrix.parse(text)
     signs = find_signs(m)
-    spelled, extended, words = [], [], {}
-
-    def check(word, result):
-        gp = encode(m, signs, word)
-        assert result == (gp.perm.entries, gp.gridding.cols, gp.gridding.rows), word
-
-    def checking_spell(word, signs):
-        result = _spell(word, signs)
-        spelled.append(tuple(word))
-        check(spelled[-1], result)
-        words[id(result[0])] = result[0], spelled[-1]
-        return result
-
-    def checking_extend(prefix, letter, signs):
-        held, word = words[id(prefix[0])]
-        assert held is prefix[0]
-        check(word, prefix)
-        result = _extend(prefix, letter, signs)
-        extended.append(word + (letter,))
-        assert result == encode(m, signs, extended[-1]).perm.entries, extended[-1]
-        words[id(result)] = result, extended[-1]
-        return result
+    spelled, extended = spy_on_words(monkeypatch, m, signs)
 
     def checking_cells(entries, columns, row_of, cols):
         g = encode(m, signs, extended[-1]).gridding
         assert (row_of, cols) == (_bands(g.rows), g.cols), extended[-1]
         return _bands_valid(entries, columns, row_of, cols)
 
-    monkeypatch.setattr("gridperms.enumeration._spell", checking_spell)
-    monkeypatch.setattr("gridperms.enumeration._extend", checking_extend)
     monkeypatch.setattr("gridperms.enumeration._bands_valid", checking_cells)
     leaves = 0
     for n in range(8):
         spelled.clear()
         extended.clear()
-        words.clear()
         enumerate_via_words(m, signs, n)
-        assert {len(word) for word in spelled} == {max(n - 2, 0)}, n
+        for word, result in spelled:
+            gp = encode(m, signs, word)
+            assert result == (gp.perm.entries, gp.gridding.cols, gp.gridding.rows), word
+        assert {len(word) for word, _ in spelled} == {max(n - 2, 0)}, n
         leaves += sum(len(word) == n for word in extended) if n else len(spelled)
     assert leaves == sum(trace_counts(m, 7))
 
