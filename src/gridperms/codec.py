@@ -119,13 +119,21 @@ def _slots(letter: Letter, signs: SignAssignment) -> tuple[int, int]:
     return k - (c[k - 1] == -1), l - (r[l - 1] == -1)
 
 
-def _extend(entries: tuple[int, ...], index: int, value: int) -> tuple[int, ...]:
-    """The entries ``_spell`` gives for a word with one more letter, given
-    what it gives for the word and the new entry's index and value: values at
-    or above it move up one.  Its divisions grow where a caller needs them."""
-    grown = [e if e < value else e + 1 for e in entries]
-    grown.insert(index - 1, value)
-    return tuple(grown)
+_RANGE = bytes(range(256))
+# Per value v, the translation that moves each byte at or above v up one
+# (255, which has no room, to 0) and v as one byte.
+_BUMP = [(_RANGE[:v] + _RANGE[v + 1:] + _RANGE[:1], _RANGE[v:v + 1]) for v in range(256)]
+
+
+def _extend(entries: bytes, index: int, value: int) -> bytes:
+    """The entries ``_spell`` gives for a word with one more letter, as bytes,
+    given what it gives for the word and the new entry's index and value:
+    values at or above it move up one, in one C-level translation, and the
+    value is spliced in at the index.  Bytes hold values up to 255.  Its
+    divisions grow where a caller needs them."""
+    bump, byte = _BUMP[value]
+    grown = entries.translate(bump)
+    return grown[:index - 1] + byte + grown[index - 1:]
 
 
 def _grow(divisions: tuple[int, ...], *bands: int) -> tuple[int, ...]:

@@ -18,12 +18,15 @@ transpose, whose members are the class's inverses.
 letters whose cells share neither a column nor a row commute without
 changing the encoded gridded permutation, so one word per commutation class
 suffices.  A mask of the letters barred after each prefix admits a letter in
-one test.  The sweep carries only its word: it spells each length-(n-2)
-normal form once, through ``encode``'s core, and places each length-(n-1)
-and then length-n one by one insertion each at that spelling's divisions.
-Each distinct image is checked once, with ``check_gridding``'s cell rule,
-when first spelled: only then are its divisions grown and banded, once per
-distinct division, and its ``Permutation`` built.  For matrices whose
+one test.  Spellings ride the stack as bytes: each normal form carries its
+entries as a ``bytes`` string and its divisions, so each one is its
+parent's with one C-level insertion, and the length-(n-1) and length-n ones
+are placed at their grandparent's divisions.  Bytes hold values up to 255,
+which admission guarantees for two or more letters; an alphabet of at most
+one letter, or n = 0, has at most one word, spelled through ``encode``'s
+core.  Each distinct image is checked once, with ``check_gridding``'s cell
+rule, when first spelled: only then are its divisions grown and banded,
+once per distinct division, and its ``Permutation`` built.  For matrices whose
 row-column graph is a forest the two agree; comparing them is the main
 cross-check this module exists for.
 Both draw on ``gridding.SEARCH_BUDGET``: the word sweep counts |alphabet| ** k
@@ -163,62 +166,72 @@ def enumerate_via_words(
     Words equal up to commuting letters encode the same gridded
     permutation, so only the lexicographic trace normal forms are encoded;
     the image set is that of all |alphabet| ** n words.  Masks admit each
-    next letter in one test (_trace_masks).  Each length-(n - 2) normal form is
-    spelled once (_spell), each length-(n - 1) one is its entries with one
-    _extend, kept with its last letter (k', l'), and each leaf is one more, at
-    the grandparent's divisions at its letter's _slots, plus one at or past
-    k' or l'.  Only a new image's divisions are grown (_grow), banded (once
-    per division) and checked with the cell rule before the image is built.
-    Signs that do not match the matrix, and lengths whose word tree is over
-    the search budget, are refused before any work.
+    next letter in one test (_trace_masks).  Each normal form's spelling
+    rides the stack, its entries as bytes and its divisions: a child is its
+    parent's entries with one _extend at its letter's _slots and its
+    divisions grown in one band each (_grow, cached per call).  A
+    length-(n - 1) one keeps its last letter (k', l') instead, and each leaf
+    is one more _extend, at the grandparent's divisions plus one at or past
+    k' or l'.  Only a new image's divisions are grown and banded (once per
+    division) and checked with the cell rule before the image is built.
+
+    Bytes hold values up to 255, which admission guarantees for two or more
+    letters: a length-n word tree then has at least 2 ** (n + 1) - 1 nodes,
+    so n <= 20 under today's budget.  An alphabet of at most one letter, or
+    n = 0, has at most one word, which is spelled (_spell), checked and built
+    alone.  Signs that do not match the matrix, and lengths whose word tree
+    is over the search budget, are refused before any work.
     """
     _check_signs(matrix, signs)
     letters = matrix.nonzero_cells()
     _admit(n, [(len(letters), n)])
-    if n == 0:  # the empty word has no last letter to extend by
-        return {Permutation(_spell((), signs)[0])}
+    if len(letters) < 2 or n == 0:  # one word at most: one letter n times
+        if n and not letters:
+            return set()
+        entries, cols, rows = _spell(letters * n, signs)
+        return {_image(entries, matrix, cols, rows, _bands)}
     # at n = 1 no letter follows another, so none is barred and no mask built
     masks = _trace_masks(letters) if n > 1 else [(letter, 0, 0, 0) for letter in letters]
     masks = [(letter, *_slots(letter, signs), *rest) for letter, *rest in masks]
-    images: dict[tuple[int, ...], Permutation] = {}
-    band = cache(_bands)
+    images: dict[bytes, Permutation] = {}
+    band, grow = cache(_bands), cache(_grow)
     # Depth-first with an explicit stack, so long words cannot exhaust the
-    # recursion limit; entries (depth, letter, blocked) extend one shared
-    # prefix, word, cut back to its first depth letters on each pop.
-    word: list[Letter] = []
-    stack: list[tuple[int, Letter, int]] = []
-    depth = blocked = 0
-    while True:
+    # recursion limit; each item (entries, cols, rows, depth, blocked) spells
+    # a normal form of length depth and masks the letters barred after it.
+    stack = [(b"", (1,) * (matrix.t + 1), (1,) * (matrix.u + 1), 0, 0)]
+    while stack:
+        entries, cols, rows, depth, blocked = stack.pop()
         if depth < n - 2:
-            stack += [(depth, letter, (blocked | below) & commute)
-                      for letter, _, _, bit, below, commute in masks if not blocked & bit]
-        else:
-            entries, cols, rows = _spell(word, signs)
-            # the length-(n - 1) normal forms with their last letters, or at
-            # n = 1 the empty word with a letter past every division slot
-            prefixes = [(entries, (len(cols), len(rows)), blocked)] if n == 1 else [
-                (_extend(entries, cols[i], rows[v]), letter, (blocked | below) & commute)
-                for letter, i, v, bit, below, commute in masks if not blocked & bit]
-            for prefix, (k, l), after in prefixes:
-                for (x, y), i, v, bit, _, _ in masks:
-                    if after & bit:
-                        continue
-                    # the prefix's divisions: its letter grew those from slots k and l on
-                    leaf = _extend(prefix, cols[i] + (i >= k), rows[v] + (v >= l))
-                    # check_gridding's cell rule, on each image's first spelling
-                    if leaf not in images:
-                        leaf_cols, leaf_rows = _grow(cols, k, x), _grow(rows, l, y)
-                        if not _bands_valid(leaf, matrix.columns, band(leaf_rows), leaf_cols):
-                            raise ValueError(
-                                f"{leaf} has no valid gridding {leaf_cols} x {leaf_rows}")
-                        image = Permutation(leaf)
-                        images[image.entries] = image
-        if not stack:
-            return set(images.values())
-        depth, letter, blocked = stack.pop()
-        del word[depth:]
-        word.append(letter)
-        depth += 1
+            depth += 1
+            stack += [(_extend(entries, cols[i], rows[v]), grow(cols, k), grow(rows, l), depth,
+                       (blocked | below) & commute)
+                      for (k, l), i, v, bit, below, commute in masks if not blocked & bit]
+            continue
+        # the length-(n - 1) normal forms with their last letters, or at
+        # n = 1 the empty word with a letter past every division slot
+        prefixes = [(entries, (len(cols), len(rows)), blocked)] if n == 1 else [
+            (_extend(entries, cols[i], rows[v]), letter, (blocked | below) & commute)
+            for letter, i, v, bit, below, commute in masks if not blocked & bit]
+        for prefix, (k, l), after in prefixes:
+            for (x, y), i, v, bit, _, _ in masks:
+                if after & bit:
+                    continue
+                # the prefix's divisions: its letter grew those from slots k and l on
+                leaf = _extend(prefix, cols[i] + (i >= k), rows[v] + (v >= l))
+                if leaf not in images:
+                    images[leaf] = _image(leaf, matrix, grow(cols, k, x), grow(rows, l, y), band)
+    return set(images.values())
+
+
+def _image(
+    entries: bytes | tuple[int, ...], matrix: GridMatrix, cols: tuple[int, ...],
+    rows: tuple[int, ...], band: Callable[[tuple[int, ...]], list[int]],
+) -> Permutation:
+    """The permutation a word spells, given its entries and divisions, once
+    check_gridding's cell rule holds for them; ``band`` bands the rows."""
+    if not _bands_valid(entries, matrix.columns, band(rows), cols):
+        raise ValueError(f"{tuple(entries)} has no valid gridding {cols} x {rows}")
+    return Permutation(entries)
 
 
 def counting_sequence(matrix: GridMatrix, n_max: int) -> tuple[int, ...]:

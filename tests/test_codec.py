@@ -137,8 +137,17 @@ def test_extend_spells_the_word_with_its_last_letter(data):
         (entries, cols, rows), (k, l) = _spell(word[:-1], s), word[-1]
         i, v = _slots(word[-1], s)
         gp = encode(m, s, word)
-        assert _extend(entries, cols[i], rows[v]) == gp.perm.entries
+        assert _extend(bytes(entries), cols[i], rows[v]) == bytes(gp.perm.entries)
         assert (_grow(cols, k), _grow(rows, l)) == (gp.gridding.cols, gp.gridding.rows)
+
+
+@pytest.mark.parametrize("text, signs", [("+", ((1,), (1,))), ("-", ((1,), (-1,)))])
+def test_extend_reaches_the_top_of_the_byte_range(text, signs):
+    # 255 appended above 1..254, or 1 inserted below 254..1, which moves 254
+    # to 255: the last entry of each bump table
+    m, s = GridMatrix.parse(text), SignAssignment(*signs)
+    (entries, cols, rows), i, v = _spell(((1, 1),) * 254, s), *_slots((1, 1), s)
+    assert _extend(bytes(entries), cols[i], rows[v]) == bytes(encode(m, s, ((1, 1),) * 255).perm.entries)
 
 
 @given(st.data())

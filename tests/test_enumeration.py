@@ -247,11 +247,12 @@ SEARCHES = {
 ])
 def test_search_admission_edges(monkeypatch, search, text, admitted, refused):
     # Stubs make an admitted search stop at once and record any work done:
-    # the word sweep gets no letter masks, so its root has no children.
+    # the word sweep gets no letter masks, so its root has no children, and
+    # the one word of a one-letter alphabet spells the empty permutation.
     calls = []
     for target, result in [
         ("gridperms.enumeration._witness", (None, 0)),
-        ("gridperms.enumeration._spell", None),
+        ("gridperms.enumeration._spell", ((), (1, 1), (1, 1))),
         ("gridperms.enumeration._extend", None),
         ("gridperms.enumeration._trace_masks", ()),
         ("gridperms.gridding._bands_valid", True),
@@ -354,9 +355,9 @@ def test_word_sweep_checks_signs_on_entry(n):
 ])
 def test_word_sweep_encodes_one_word_per_trace(monkeypatch, text, n_max, tail):
     # Cartier-Foata: exactly one normal form per trace, cycles included.
-    # _spell spells each prefix of length n - 2 (the empty word at n = 1)
-    # and _extend inserts the last entry of each normal form of length n - 1
-    # and of each leaf; at n = 0 the one leaf is _spell's.
+    # With two or more letters _extend inserts the last entry of each normal
+    # form of length 1..n and _spell is never called; the one word of a
+    # one-letter alphabet, and the empty word at n = 0, are _spell's.
     m = GridMatrix.parse(text)
     signs = find_signs(m)
     traces = trace_counts(m, n_max)
@@ -377,9 +378,11 @@ def test_word_sweep_encodes_one_word_per_trace(monkeypatch, text, n_max, tail):
         spelled.clear()
         extended.clear()
         enumerate_via_words(m, signs, n)
-        lengths = [n - 1] * traces[n - 1] * (n > 1) + [n] * traces[n] * (n > 0)
-        assert sorted(extended) == lengths, n
-        assert len(spelled) == traces[max(n - 2, 0)], n
+        if n and len(alphabet(m)) > 1:
+            assert sorted(extended) == [k for k in range(1, n + 1) for _ in range(traces[k])], n
+            assert spelled == [], n
+        else:
+            assert extended == [] and len(spelled) == traces[n] == 1, n
 
 
 def test_word_images_length_one(demo_matrix, demo_signs):
@@ -700,52 +703,68 @@ def test_sweeps_band_each_division_once(monkeypatch, text):
         assert len(banded) == len(set(banded)) <= len(images), n
 
 
+class Spelling(bytes):
+    """Entries that carry the word they spell and the index of the next
+    letter to try after it; CPython shares bytes of length at most one, so
+    the entries alone cannot name their word."""
+
+
 def spy_on_words(monkeypatch, m, signs):
     """Spies on the word sweep's _spell and _extend that name the word each
     spelling comes from: the lists of (word, what _spell gave) and of the
-    words whose entries _extend gave, in call order.  _extend is handed only
-    entries, an index and a value, so each call is named after the least
-    letter, past the last one taken from the same entries, that extends
-    their word to a normal form whose encoding has the entries it gives: the
-    sweep extends each normal form by its normal-form letters in order."""
+    words whose entries _extend gave, in call order, and a sweep(n) that
+    clears both and runs the word sweep.  _extend is handed only entries, an
+    index and a value, so each call is named after the least letter, past
+    the last one taken from the same entries, that extends their word to a
+    normal form whose encoding has the entries it gives: the sweep extends
+    each normal form by its normal-form letters in order.  Each result is
+    tagged with its word; the untagged entries are the root's, the empty
+    word's."""
     letters = sorted(alphabet(m))
-    spelled, extended, words = [], [], {}
+    spelled, extended = [], []
+    root = Spelling()
 
     def tracking_spell(word, signs):
         result = _spell(word, signs)
         spelled.append((tuple(word), result))
-        words[id(result[0])] = [result[0], tuple(word), 0]
         return result
 
     def tracking_extend(entries, index, value):
-        record = words[id(entries)]
-        held, word, start = record
-        assert held is entries
+        if not isinstance(entries, Spelling):
+            assert entries == b""
+            entries = root
         result = _extend(entries, index, value)
-        for j in range(start, len(letters)):
-            longer = word + (letters[j],)
-            if is_normal_form(longer) and encode(m, signs, longer).perm.entries == result:
+        for j in range(entries.start, len(letters)):
+            longer = entries.word + (letters[j],)
+            if is_normal_form(longer) and encode(m, signs, longer).perm.entries == tuple(result):
                 break
         else:
-            raise AssertionError(f"no normal form after {word} spells {result}")
-        record[2] = j + 1
+            raise AssertionError(f"no normal form after {entries.word} spells {tuple(result)}")
+        entries.start = j + 1
         extended.append(longer)
-        words[id(result)] = [result, longer, 0]
+        result = Spelling(result)
+        result.word, result.start = longer, 0
         return result
+
+    def sweep(n):
+        spelled.clear()
+        extended.clear()
+        root.word, root.start = (), 0
+        return enumerate_via_words(m, signs, n)
 
     monkeypatch.setattr("gridperms.enumeration._spell", tracking_spell)
     monkeypatch.setattr("gridperms.enumeration._extend", tracking_extend)
-    return spelled, extended
+    return spelled, extended, sweep
 
 
 @pytest.mark.parametrize("text", [DEMO_MATRIX_TEXT, "+ +\n+ +"])
 def test_word_sweep_encodes_each_gridded_image_once(monkeypatch, text):
     m = GridMatrix.parse(text)
     signs = find_signs(m)
-    _, extended = spy_on_words(monkeypatch, m, signs)
-    enumerate_via_words(m, signs, 5)
-    # the prefixes of length 4 grow into the leaves of length 5
-    for n in (4, 5):
+    _, extended, sweep = spy_on_words(monkeypatch, m, signs)
+    sweep(5)
+    # the normal forms of each length 1..4 grow into those one longer
+    for n in range(1, 6):
         at_n = [encode(m, signs, word) for word in extended if len(word) == n]
         every_word = product(sorted(alphabet(m)), repeat=n)
         assert len(at_n) == len(set(at_n)), n
@@ -758,30 +777,30 @@ def test_word_sweep_encodes_each_gridded_image_once(monkeypatch, text):
 )
 def test_word_sweep_spells_what_encode_spells(monkeypatch, text):
     # Every normal form up to length 7, cycles included: each word the sweep
-    # hands to _spell, each entry _extend inserts into a normal form of
-    # length n - 2 or n - 1, named as spy_on_words names it, and each new
-    # image's divisions, which it hands to the cell rule right after that
-    # leaf's _extend.
+    # hands to _spell (the one word of an alphabet of at most one letter, or
+    # of length 0), each entry _extend inserts into a normal form of length
+    # 0..n - 1, named as spy_on_words names it, and each new image's
+    # divisions, which it hands to the cell rule right after that image's
+    # _spell or leaf's _extend.
     m = GridMatrix.parse(text)
     signs = find_signs(m)
-    spelled, extended = spy_on_words(monkeypatch, m, signs)
+    spelled, extended, sweep = spy_on_words(monkeypatch, m, signs)
 
     def checking_cells(entries, columns, row_of, cols):
-        g = encode(m, signs, extended[-1]).gridding
-        assert (row_of, cols) == (_bands(g.rows), g.cols), extended[-1]
+        word = extended[-1] if extended else spelled[-1][0]
+        g = encode(m, signs, word).gridding
+        assert (row_of, cols) == (_bands(g.rows), g.cols), word
         return _bands_valid(entries, columns, row_of, cols)
 
     monkeypatch.setattr("gridperms.enumeration._bands_valid", checking_cells)
     leaves = 0
     for n in range(8):
-        spelled.clear()
-        extended.clear()
-        enumerate_via_words(m, signs, n)
+        sweep(n)
         for word, result in spelled:
             gp = encode(m, signs, word)
             assert result == (gp.perm.entries, gp.gridding.cols, gp.gridding.rows), word
-        assert {len(word) for word, _ in spelled} == {max(n - 2, 0)}, n
-        leaves += sum(len(word) == n for word in extended) if n else len(spelled)
+        assert [len(word) for word, _ in spelled] == [n] * (not n or len(alphabet(m)) < 2), n
+        leaves += sum(len(word) == n for word in extended) + len(spelled)
     assert leaves == sum(trace_counts(m, 7))
 
 
@@ -794,6 +813,47 @@ def test_word_sweep_certifies_every_image(monkeypatch):
     one_cell = GridMatrix.parse("+")
     with pytest.raises(ValueError, match="no valid gridding"):
         enumerate_via_words(one_cell, SignAssignment((1,), (1,)), 2)
+
+
+def test_word_sweep_certifies_every_leaf(monkeypatch, demo_matrix, demo_signs):
+    # An insertion that swapped the first two entries of each leaf would
+    # give 213 for the normal form (2,2) (2,2) (2,2) in DEMO's + cell.
+    def swapping_extend(entries, index, value):
+        leaf = _extend(entries, index, value)
+        return leaf[1::-1] + leaf[2:] if len(leaf) == 3 else leaf
+
+    monkeypatch.setattr("gridperms.enumeration._extend", swapping_extend)
+    with pytest.raises(ValueError, match="no valid gridding"):
+        enumerate_via_words(demo_matrix, demo_signs, 3)
+
+
+@pytest.mark.parametrize("text, n, images", [
+    ("+", 0, 1), ("+", 3, 1), ("-", 3, 1), (". .", 0, 1), (". .", 3, 0), (DEMO_MATRIX_TEXT, 0, 1),
+])
+def test_word_sweep_checks_its_one_word(monkeypatch, text, n, images):
+    # an alphabet of at most one letter, or n = 0, has at most one word,
+    # whose image is checked like any other
+    checks = []
+
+    def counting_check(*args):
+        checks.append(None)
+        return _bands_valid(*args)
+
+    monkeypatch.setattr("gridperms.enumeration._bands_valid", counting_check)
+    m = GridMatrix.parse(text)
+    assert len(enumerate_via_words(m, find_signs(m), n)) == len(checks) == images
+
+
+@pytest.mark.parametrize("text, n", [
+    ("+", 255), ("+", 256), ("+", 257), ("-", 255), ("-", 256), ("-", 257), (". .", 300),
+])
+def test_word_sweep_past_the_byte_range(text, n):
+    # an alphabet of at most one letter is swept at any admitted length,
+    # past the 255 values its spellings as bytes could hold
+    m = GridMatrix.parse(text)
+    monotone = range(1, n + 1) if text == "+" else range(n, 0, -1)
+    expected = {Permutation(tuple(monotone))} if m.nonzero_cells() else set()
+    assert enumerate_via_words(m, find_signs(m), n) == expected
 
 
 def test_word_sweep_checks_each_image_once(monkeypatch, demo_matrix, demo_signs):
