@@ -3,8 +3,11 @@
 A subclass names its fields in ``__slots__``, after those of its bases, and
 ``Value.__init__``, the one place that stores them, takes them in that order
 by position or keyword; a subclass that normalises or validates ends its own
-``__init__`` in ``super().__init__(...)``.  A value compares, hashes, prints,
-pickles and copies by its fields, in order, and refuses assignment and deletion.
+``__init__`` in ``super().__init__(...)``.  The one exception is
+``perms.Permutation``, built once per image in the sweeps: it stores its one
+validated field itself, with ``object.__setattr__``, as ``Value.__init__``
+would.  A value compares, hashes, prints, pickles and copies by its fields,
+in order, and refuses assignment and deletion.
 """
 from operator import attrgetter
 

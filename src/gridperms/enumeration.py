@@ -12,8 +12,9 @@ deleted value, so the search runs only on members and basis elements.  It
 tries the parent's witness division, lifted once per parent, then each
 deletion's, lifted by re-inserting the deleted value, and then every
 division, so no answer depends on the hints; each distinct hint is banded
-once per length.  A matrix with fewer columns than rows is walked as its
-transpose, whose members are the class's inverses.
+once per length.  Members are spelled as bytes, each deletion one C-level
+translation, so the walk refuses length 256.  A matrix with fewer columns
+than rows is walked as its transpose, whose members are the class's inverses.
 ``enumerate_via_words`` encodes the lexicographic normal forms of traces:
 letters whose cells share neither a column nor a row commute without
 changing the encoded gridded permutation, so one word per commutation class
@@ -40,20 +41,22 @@ from collections.abc import Callable, Iterator
 from functools import cache
 
 from . import gridding
-from .codec import Letter, _check_signs, _extend, _grow, _slots, _spell
+from .codec import _RANGE, Letter, _check_signs, _extend, _grow, _slots, _spell
 from .graphs import SignAssignment
 from .gridding import _admit, _bands, _bands_valid, _upright, _witness
 from .matrices import GridMatrix
 from .perms import Permutation
 
 
-def _class_levels(
-    matrix: GridMatrix, n_max: int
-) -> Iterator[dict[tuple[int, ...], tuple[int, ...]]]:
+# Per value v, the translation that deletes v and moves each byte above it down one
+_DROP = [(_RANGE[:v + 1] + _RANGE[v:255], _RANGE[v:v + 1]) for v in range(256)]
+
+
+def _class_levels(matrix: GridMatrix, n_max: int) -> Iterator[dict[bytes, tuple[int, ...]]]:
     """The members of lengths 0, 1, ..., n_max of a matrix with t >= u, one
-    dict per length from each member's entries to its witness row division.
-    The class is closed under deletion, so every level after an empty one is
-    empty too, and the walk stops at the first empty level.
+    dict per length from each member's entries, as bytes, to its witness row
+    division.  The class is closed under deletion, so every level after an
+    empty one is empty too, and the walk stops at the first empty level.
 
     Level n inserts the value n at every active site of every level-(n-1)
     member P; ``sites`` keeps them as a bit mask per member.  Deleting n
@@ -61,37 +64,41 @@ def _class_levels(
     repeats.  The class is closed under deletion, so the candidate with n at
     index j is a member only if, for each value v of P at index p, deleting
     v gives a member: j - (p < j) must be an active site of P less v, one
-    mask lookup per (P, v).  The gridding search runs only on the candidates
-    that pass, which are the members and the basis elements of length n,
-    and tries _hints before the exhaustive search, each distinct division
-    banded once per level; the parent's division, which every child tries
-    first, is lifted once per parent.
+    mask lookup per (P, v) on one _DROP translation.  The gridding search
+    runs only on the candidates that pass, which are the members and the
+    basis elements of length n, and tries _hints before the exhaustive
+    search, each distinct division banded once per level; the parent's
+    division, which every child tries first, is lifted once per parent.
 
     Callers orient and admit through _upright.  The walk charges n * n steps
     per parent at length n (n - 1 deletion lookups of n - 1 entries, and n
     candidates) and n + u per division _witness tries; the search that takes
-    them past SEARCH_BUDGET raises LimitExceededError.
+    them past SEARCH_BUDGET raises LimitExceededError, as does entering
+    length 256, past the bytes' values (the default budget stops at 208).
     """
     budget, steps, u = gridding.SEARCH_BUDGET, 0, matrix.u
     # the empty permutation, gridded with every row empty
-    level = {(): (1,) * (u + 1)}
-    sites: dict[tuple[int, ...], int] = {}
+    level = {b"": (1,) * (u + 1)}
+    sites: dict[bytes, int] = {}
     yield level
     for n in range(1, n_max + 1):
-        members, grown, band = {}, {}, cache(_bands)
+        if n > 255:
+            raise gridding.LimitExceededError(
+                f"a length-{n_max} sweep stops at length {n}: its spellings hold values up to 255")
+        members, grown, band, top = {}, {}, cache(_bands), _RANGE[n:n + 1]
         for parent, division in level.items():
             steps += n * n
             # site s of the parent's deletion at index p is open at j = s
             # <= p and at j = s + 1 > p
             open_sites = (1 << n) - 1
             for p, v in enumerate(parent):
-                active = sites[tuple([w - (w > v) for w in parent if w != v])]
+                active = sites[parent.translate(*_DROP[v])]
                 open_sites &= (active & ((2 << p) - 1)) | (active >> p << (p + 1))
             lifted = [(rows, band(rows)) for rows in _lifts(division, n, n)]
             mask = 0
             for j in range(n):
                 if open_sites >> j & 1:
-                    child = parent[:j] + (n,) + parent[j:]
+                    child = parent[:j] + top + parent[j:]
                     witness, tried = _witness(child, matrix, _hints(child, lifted, level, band))
                     steps += tried * (n + u)
                     if steps > budget:
@@ -121,17 +128,17 @@ def _lifts(division: tuple[int, ...], x: int, n: int) -> Iterator[tuple[int, ...
 
 
 def _hints(
-    child: tuple[int, ...], lifted: list[tuple[tuple[int, ...], list[int]]],
-    level: dict[tuple[int, ...], tuple[int, ...]], band: Callable[[tuple[int, ...]], list[int]],
+    child: bytes, lifted: list[tuple[tuple[int, ...], list[int]]],
+    level: dict[bytes, tuple[int, ...]], band: Callable[[tuple[int, ...]], list[int]],
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """The divisions a length-n candidate tries first, banded: ``lifted``, its
     parent's witness division lifted at the value n, then the witness in
-    ``level`` of each other deletion, in index order, lifted at its value v."""
+    ``level`` of each _DROP deletion, in index order, lifted at its value v."""
     n = len(child)
     yield from lifted
     for v in child:
         if v != n:
-            for rows in _lifts(level[tuple([w - (w > v) for w in child if w != v])], v, n):
+            for rows in _lifts(level[child.translate(*_DROP[v])], v, n):
                 yield rows, band(rows)
 
 

@@ -272,10 +272,12 @@ def _least_rows(
     gridding starts each row at or above these weakly increasing starts, so
     they are the least row divisions when row 1 starts at 1.
     """
-    rows = [1] * len(matrix_rows) + [len(index_of) + 1]
-    for l in range(len(matrix_rows) - 1, -1, -1):
-        rows[l] = _band_start(index_of, matrix_rows[l], col_of, rows[l + 1], 1)
-    return tuple(rows) if rows[0] == 1 else None
+    start = len(index_of) + 1
+    starts = [start]
+    for line in reversed(matrix_rows):
+        start = _band_start(index_of, line, col_of, start, 1)
+        starts.append(start)
+    return tuple(reversed(starts)) if start == 1 else None
 
 
 def _inverse(entries: tuple[int, ...]) -> tuple[int, ...]:

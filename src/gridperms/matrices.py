@@ -69,7 +69,9 @@ class GridMatrix(Value):
 
     @classmethod
     def from_cells(cls, t: int, u: int, cells: Mapping[Cell, int]) -> "GridMatrix":
-        """Build a t x u matrix from a {(k, l): entry} mapping; missing cells are 0."""
+        """Build a t x u matrix from a {(k, l): entry} mapping; missing cells
+        are 0.  A coordinate that is not an integer raises TypeError."""
+        cells = {(operator.index(k), operator.index(l)): e for (k, l), e in cells.items()}
         for (k, l) in cells:
             if not (1 <= k <= t and 1 <= l <= u):
                 raise ValueError(f"cell ({k}, {l}) outside a {t}x{u} matrix")

@@ -18,7 +18,8 @@ class Permutation(Value):
 
     ``entries`` holds the values pi(1), ..., pi(n), stored as ints: any
     integer type is accepted and anything else raises TypeError.  The empty
-    permutation (n = 0) is allowed.
+    permutation (n = 0) is allowed.  The sweeps build one per image, so the
+    validated field is stored without ``Value.__init__``'s generic binder.
 
     >>> Permutation((2, 1, 3))
     Permutation(entries=(2, 1, 3))
@@ -34,7 +35,7 @@ class Permutation(Value):
         n = len(entries)
         if sorted(entries) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {entries}")
-        super().__init__(entries)
+        object.__setattr__(self, "entries", entries)
 
     def __len__(self) -> int:
         return len(self.entries)

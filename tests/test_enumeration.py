@@ -138,6 +138,22 @@ def _walk_steps(m, n_max):
     return parents + sum(count * (n + m.u) for n, count in tried)
 
 
+def test_class_sweep_refuses_past_the_byte_range(monkeypatch):
+    # The walk spells its members as bytes, which hold values up to 255:
+    # under the default budget the meter refuses "+" at length 208, and
+    # under a larger one the walk refuses on entering length 256.
+    one_cell = GridMatrix.parse("+")
+    with pytest.raises(LimitExceededError, match="at length 208$"):
+        counting_sequence(one_cell, 300)
+    monkeypatch.setattr("gridperms.gridding.SEARCH_BUDGET", 10**8)
+    assert counting_sequence(one_cell, 255) == (1,) * 255
+    for sweep in (counting_sequence, enumerate_class):
+        with pytest.raises(LimitExceededError, match="length-300 sweep stops at length 256"):
+            sweep(one_cell, 300)
+    # an empty level ends the walk long before the byte range
+    assert counting_sequence(GridMatrix.parse(". ."), 300) == (0,) * 300
+
+
 def test_class_sweep_budget(monkeypatch, demo_matrix):
     steps = _walk_steps(demo_matrix, 6)
     assert steps == 6435
@@ -534,13 +550,14 @@ def test_hints_lift_each_witness_at_its_deleted_point():
     # the point went back in: at its value, on the rows the walk searches.
     # The level holds exactly the child's other deletions; the parent's
     # division comes lifted at n and banded, as the walk hands it over.
-    parent, n, every = (3, 1, 4, 2), 5, (1, 2, 3, 4, 5)
+    # Spellings are bytes, as the walk keys its levels.
+    parent, n, every = bytes((3, 1, 4, 2)), 5, (1, 2, 3, 4, 5)
     lifted = [(rows, _bands(rows)) for rows in _lifts(every, n, n)]
     for j in range(n):
-        child = parent[:j] + (n,) + parent[j:]
-        level = {tuple(w - (w > v) for w in child if w != v): every for v in parent}
+        child = parent[:j] + bytes((n,)) + parent[j:]
+        level = {bytes(w - (w > v) for w in child if w != v): every for v in parent}
         expected = []
-        for point in (n,) + parent:
+        for point in (n, *parent):
             expected += [(rows, _bands(rows)) for rows in _lifts(every, point, n)]
         hints = list(_hints(child, lifted, level, _bands))
         assert hints == expected, j

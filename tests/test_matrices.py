@@ -78,6 +78,17 @@ def test_from_cells_defaults_to_zero():
         GridMatrix.from_cells(2, 2, {(3, 1): 1})
 
 
+def test_from_cells_reads_integer_coordinates():
+    # a float or a string is refused, not dropped or matched by equality
+    for cell in [(1.5, 1), (1.0, 2), (1, 2.0), ("1", 1)]:
+        with pytest.raises(TypeError):
+            GridMatrix.from_cells(2, 2, {cell: 1})
+    assert GridMatrix.from_cells(2, 2, {(True, 2): -1}).entry(1, 2) == -1
+    numpy = pytest.importorskip("numpy")
+    m = GridMatrix.from_cells(2, 2, {(numpy.int64(2), numpy.int64(1)): 1})
+    assert m == GridMatrix.from_cells(2, 2, {(2, 1): 1})
+
+
 def test_entry_bounds_checked():
     m = GridMatrix.parse("+")
     for k, l in [(0, 1), (1, 0), (2, 1), (1, 2)]:
