@@ -4,11 +4,12 @@ Two independent pipelines generate class members.  ``enumerate_class``
 walks the insertion tree: grid classes are closed under deletion, so every
 length-n member is a length-(n-1) member with the value n inserted at one
 of its active sites, the indices where that insertion gives a member (as in
-Vatter's generating trees).  Each level maps its members to the witness row
-division that admitted each, and each member of the level below keeps its
-active sites as a bit mask.  An extension goes through the gridding search
-only when each of its other deletions is a member, one mask lookup per
-deleted value, so the search runs only on members and basis elements.  It
+Vatter's generating trees).  Each level maps its members to their witness
+row divisions and reports its rejected candidates, search passes and the
+meter's total, and each member of the level below keeps its active sites
+as a bit mask.  An extension goes through the gridding search only when
+each of its other deletions is a member, one mask lookup per deleted
+value, so the search runs only on members and basis elements.  It
 tries the parent's witness division, lifted once per parent, then each
 deletion's, lifted by re-inserting the deleted value, and then every
 division, so no answer depends on the hints; each distinct hint is banded
@@ -24,10 +25,10 @@ entries as a ``bytes`` string and its divisions, so each one is its
 parent's with one C-level insertion, and the length-(n-1) and length-n ones
 are placed at their grandparent's divisions.  Bytes hold values up to 255,
 which admission guarantees for two or more letters; an alphabet of at most
-one letter, or n = 0, has at most one word, spelled through ``encode``'s
-core.  Each distinct image is checked once, with ``check_gridding``'s cell
-rule, when first spelled: only then are its divisions grown and banded,
-once per distinct division, and its ``Permutation`` built.  For matrices whose
+one letter, or a length n <= 1, spells one word, through ``encode``'s core.
+Each distinct image is checked once, with ``check_gridding``'s cell rule,
+when first spelled: only then are its divisions grown and banded, once per
+distinct division, and its ``Permutation`` built.  For matrices whose
 row-column graph is a forest the two agree; comparing them is the main
 cross-check this module exists for.
 Both draw on ``gridding.SEARCH_BUDGET``: the word sweep counts |alphabet| ** k
@@ -52,11 +53,15 @@ from .perms import Permutation
 _DROP = [(_RANGE[:v + 1] + _RANGE[v:255], _RANGE[v:v + 1]) for v in range(256)]
 
 
-def _class_levels(matrix: GridMatrix, n_max: int) -> Iterator[dict[bytes, tuple[int, ...]]]:
-    """The members of lengths 0, 1, ..., n_max of a matrix with t >= u, one
-    dict per length from each member's entries, as bytes, to its witness row
-    division.  The class is closed under deletion, so every level after an
-    empty one is empty too, and the walk stops at the first empty level.
+def _class_levels(
+    matrix: GridMatrix, n_max: int
+) -> Iterator[tuple[dict[bytes, tuple[int, ...]], list[bytes], int, int]]:
+    """One record (members, rejected, passes, steps) per length 0..n_max of
+    the class of a matrix with t >= u: each member's entries, as bytes, to
+    its witness row division; the searched candidates that are not members,
+    the basis elements of that length; the divisions _witness tried there,
+    one _least_rows call each; and the meter's running total.  The class is
+    closed under deletion, so the walk stops at the first empty level.
 
     Level n inserts the value n at every active site of every level-(n-1)
     member P; ``sites`` keeps them as a bit mask per member.  Deleting n
@@ -80,12 +85,12 @@ def _class_levels(matrix: GridMatrix, n_max: int) -> Iterator[dict[bytes, tuple[
     # the empty permutation, gridded with every row empty
     level = {b"": (1,) * (u + 1)}
     sites: dict[bytes, int] = {}
-    yield level
+    yield level, [], 0, 0
     for n in range(1, n_max + 1):
         if n > 255:
             raise gridding.LimitExceededError(
                 f"a length-{n_max} sweep stops at length {n}: its spellings hold values up to 255")
-        members, grown, band, top = {}, {}, cache(_bands), _RANGE[n:n + 1]
+        members, grown, rejected, passes, band, top = {}, {}, [], 0, cache(_bands), _RANGE[n:n + 1]
         for parent, division in level.items():
             steps += n * n
             # site s of the parent's deletion at index p is open at j = s
@@ -100,16 +105,19 @@ def _class_levels(matrix: GridMatrix, n_max: int) -> Iterator[dict[bytes, tuple[
                 if open_sites >> j & 1:
                     child = parent[:j] + top + parent[j:]
                     witness, tried = _witness(child, matrix, _hints(child, lifted, level, band))
+                    passes += tried
                     steps += tried * (n + u)
                     if steps > budget:
                         raise gridding.LimitExceededError(
                             f"a length-{n_max} sweep took {steps} steps at length {n}")
-                    if witness is not None:
+                    if witness is None:
+                        rejected.append(child)
+                    else:
                         mask |= 1 << j
                         members[child] = witness
             grown[parent] = mask
         level, sites = members, grown
-        yield level
+        yield level, rejected, passes, steps
         if not level:
             return
 
@@ -150,7 +158,7 @@ def enumerate_class(matrix: GridMatrix, n: int) -> set[Permutation]:
     metered by the search budget as _class_levels describes.
     """
     upright, orient = _upright(n, matrix)
-    *_, members = _class_levels(upright, n)
+    *_, (members, *_) = _class_levels(upright, n)
     return {Permutation(orient(entries)) for entries in members}
 
 
@@ -184,22 +192,20 @@ def enumerate_via_words(
 
     Bytes hold values up to 255, which admission guarantees for two or more
     letters: a length-n word tree then has at least 2 ** (n + 1) - 1 nodes,
-    so n <= 20 under today's budget.  An alphabet of at most one letter, or
-    n = 0, has at most one word, which is spelled (_spell), checked and built
-    alone.  Signs that do not match the matrix, and lengths whose word tree
-    is over the search budget, are refused before any work.
+    so n <= 20 under today's budget.  With at most one letter, or n <= 1,
+    every word spells the same entries, so one is spelled (_spell), checked
+    and built alone.  Signs that do not match the matrix, and lengths whose
+    word tree is over the search budget, are refused before any work.
     """
     _check_signs(matrix, signs)
     letters = matrix.nonzero_cells()
     _admit(n, [(len(letters), n)])
-    if len(letters) < 2 or n == 0:  # one word at most: one letter n times
+    if len(letters) < 2 or n < 2:  # every word spells the same entries
         if n and not letters:
             return set()
-        entries, cols, rows = _spell(letters * n, signs)
+        entries, cols, rows = _spell(letters[:1] * n, signs)
         return {_image(entries, matrix, cols, rows, _bands)}
-    # at n = 1 no letter follows another, so none is barred and no mask built
-    masks = _trace_masks(letters) if n > 1 else [(letter, 0, 0, 0) for letter in letters]
-    masks = [(letter, *_slots(letter, signs), *rest) for letter, *rest in masks]
+    masks = [(letter, *_slots(letter, signs), *rest) for letter, *rest in _trace_masks(letters)]
     images: dict[bytes, Permutation] = {}
     band, grow = cache(_bands), cache(_grow)
     # Depth-first with an explicit stack, so long words cannot exhaust the
@@ -214,11 +220,9 @@ def enumerate_via_words(
                        (blocked | below) & commute)
                       for (k, l), i, v, bit, below, commute in masks if not blocked & bit]
             continue
-        # the length-(n - 1) normal forms with their last letters, or at
-        # n = 1 the empty word with a letter past every division slot
-        prefixes = [(entries, (len(cols), len(rows)), blocked)] if n == 1 else [
-            (_extend(entries, cols[i], rows[v]), letter, (blocked | below) & commute)
-            for letter, i, v, bit, below, commute in masks if not blocked & bit]
+        # the length-(n - 1) normal forms with their last letters
+        prefixes = [(_extend(entries, cols[i], rows[v]), letter, (blocked | below) & commute)
+                    for letter, i, v, bit, below, commute in masks if not blocked & bit]
         for prefix, (k, l), after in prefixes:
             for (x, y), i, v, bit, _, _ in masks:
                 if after & bit:
@@ -251,5 +255,5 @@ def counting_sequence(matrix: GridMatrix, n_max: int) -> tuple[int, ...]:
     (1, 2, 5)
     """
     levels = _class_levels(_upright(n_max, matrix)[0], n_max)
-    counts = tuple(len(level) for level in levels)[1:]
+    counts = tuple(len(members) for members, *_ in levels)[1:]
     return counts + (0,) * (n_max - len(counts))

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import time
 from functools import partial
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -35,7 +35,9 @@ from gridperms import (
 )
 from gridperms.codec import _extend, _spell
 from gridperms.enumeration import _class_levels, _hints, _lifts
-from gridperms.gridding import _bands, _bands_valid, _inverse, _least_rows, _transpose, _witness
+from gridperms.gridding import (
+    _bands, _bands_valid, _inverse, _least_rows, _transpose, _upright, _witness,
+)
 
 from .conftest import DEMO_MATRIX_TEXT
 from .oracles import (
@@ -121,21 +123,14 @@ def test_counting_sequence_refuses_negative_length():
 
 
 def _walk_steps(m, n_max):
-    """The steps counting_sequence charges on a matrix with t >= u: n * n
-    for each parent at length n, which are the members of length n - 1,
-    and n + u for each division _witness tries at length n."""
-    tried = []
-
-    def recording_witness(entries, matrix, hints=()):
-        found, count = _witness(entries, matrix, hints)
-        tried.append((len(entries), count))
-        return found, count
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("gridperms.enumeration._witness", recording_witness)
-        counts = (1,) + counting_sequence(m, n_max)
-    parents = sum(counts[n - 1] * n * n for n in range(1, n_max + 1))
-    return parents + sum(count * (n + m.u) for n, count in tried)
+    """The steps the walk reports on a matrix with t >= u, which are n * n
+    for each parent at length n, the members of length n - 1, and n + u
+    for each division _witness tries at length n."""
+    levels = list(_class_levels(m, n_max))
+    steps = levels[-1][3]
+    assert steps == sum(len(levels[n - 1][0]) * n * n + levels[n][2] * (n + m.u)
+                        for n in range(1, len(levels)))
+    return steps
 
 
 def test_class_sweep_refuses_past_the_byte_range(monkeypatch):
@@ -371,9 +366,10 @@ def test_word_sweep_checks_signs_on_entry(n):
 ])
 def test_word_sweep_encodes_one_word_per_trace(monkeypatch, text, n_max, tail):
     # Cartier-Foata: exactly one normal form per trace, cycles included.
-    # With two or more letters _extend inserts the last entry of each normal
-    # form of length 1..n and _spell is never called; the one word of a
-    # one-letter alphabet, and the empty word at n = 0, are _spell's.
+    # With two or more letters and n >= 2 _extend inserts the last entry of
+    # each normal form of length 1..n and _spell is never called; the one
+    # word of a one-letter alphabet, and one word of length n <= 1, which
+    # all spell the same entries, are _spell's.
     m = GridMatrix.parse(text)
     signs = find_signs(m)
     traces = trace_counts(m, n_max)
@@ -394,11 +390,11 @@ def test_word_sweep_encodes_one_word_per_trace(monkeypatch, text, n_max, tail):
         spelled.clear()
         extended.clear()
         enumerate_via_words(m, signs, n)
-        if n and len(alphabet(m)) > 1:
+        if n > 1 and len(alphabet(m)) > 1:
             assert sorted(extended) == [k for k in range(1, n + 1) for _ in range(traces[k])], n
             assert spelled == [], n
         else:
-            assert extended == [] and len(spelled) == traces[n] == 1, n
+            assert extended == [] and len(spelled) == 1, n
 
 
 def test_word_images_length_one(demo_matrix, demo_signs):
@@ -457,29 +453,36 @@ def test_members_shrink_into_the_class(demo_matrix):
     (DEMO_MATRIX_TEXT, {"2143", "3142", "4132", "4312"}),
     ("- +\n+ -", {"2143", "3412"}),
 ])
-def test_class_sweep_searches_only_members_and_basis(monkeypatch, text, basis):
+def test_class_sweep_searches_only_members_and_basis(text, basis):
     # A candidate reaches the gridding search only when all its one-point
     # deletions are members, so the rejected ones are the basis elements.
-    m = GridMatrix.parse(text)
-    searched = []
-
-    def recording_witness(entries, matrix, hints=()):
-        found, tried = _witness(entries, matrix, hints)
-        searched.append((entries, found is not None))
-        return found, tried
-
-    monkeypatch.setattr("gridperms.enumeration._witness", recording_witness)
-    counts = counting_sequence(m, 7)
-    rejected = [entries for entries, member in searched if not member]
     # With fewer columns than rows the walk runs on the transpose, whose
     # members are the inverses of the class's.
-    if m.t < m.u:
-        rejected = [_inverse(entries) for entries in rejected]
-    for n in range(1, 8):
-        at_n = [entries for entries, _ in searched if len(entries) == n]
-        assert len(at_n) == counts[n - 1] + sum(len(e) == n for e in rejected), n
+    upright, orient = _upright(7, GridMatrix.parse(text))
+    rejected = [orient(entries) for _, at_n, _, _ in _class_levels(upright, 7) for entries in at_n]
     assert len(rejected) == len(basis)
     assert {Permutation(entries) for entries in rejected} == perms(*basis)
+
+
+# Shapes up to 3x3, so some are walked as their transposes.
+@given(matrices(max_t=3, max_u=3))
+@settings(max_examples=40, deadline=None)
+def test_class_walk_rejects_the_minimal_non_members(m):
+    # Each length's rejected candidates, oriented back, are the class's
+    # minimal non-members there: the non-members whose deletions all belong.
+    upright, orient = _upright(5, m)
+    levels = list(_class_levels(upright, 5))
+    members = filter_class(m, 0)
+    for n in range(1, 6):
+        below, members = members, filter_class(m, n)
+        rejected = levels[n][1] if n < len(levels) else []
+        minimal = {
+            pi for pi in map(Permutation, permutations(range(1, n + 1)))
+            if pi not in members
+            and all(pattern_of(pi.entries[:j] + pi.entries[j + 1:]) in below for j in range(n))
+        }
+        assert len(rejected) == len(minimal), n
+        assert {Permutation(orient(entries)) for entries in rejected} == minimal, n
 
 
 # Searches and rejections are those of any walk that searches exactly the
@@ -487,35 +490,20 @@ def test_class_sweep_searches_only_members_and_basis(monkeypatch, text, basis):
 # with only the parent's division first, the walk made 5,893 (DEMO), 88,035
 # (M33) and 16,800 (a 2x3, walked as its 3x2 transpose) through n = 8.  The
 # 1x4 pins the orientation: walked untransposed, on its 4-part row axis, it
-# made 52,774.
+# made 52,774.  The 2x2 of + cells is a cycle, with basis elements of
+# lengths 4 to 8: 1, 2, 3, 25 and 4 of them.
 @pytest.mark.parametrize("text, searched, rejected, max_passes", [
     (DEMO_MATRIX_TEXT, 3332, 4, 4074),
     (M33_TEXT, 6940, 33, 12461),
     ("+ .\n- +\n. +", 4777, 23, 6325),
     ("+\n+\n+\n+", 24833, 131, 25730),
+    ("+ +\n+ +", 12872, 35, 18972),
 ])
-def test_class_sweep_certifies_members_from_lifted_witnesses(
-    monkeypatch, text, searched, rejected, max_passes
-):
-    m = GridMatrix.parse(text)
-    found, passes = [], []
-
-    def counting_least_rows(*args):
-        passes.append(None)
-        return _least_rows(*args)
-
-    def recording_witness(entries, matrix, hints=()):
-        division, tried = _witness(entries, matrix, hints)
-        found.append(division)
-        return division, tried
-
-    monkeypatch.setattr("gridperms.gridding._least_rows", counting_least_rows)
-    monkeypatch.setattr("gridperms.enumeration._witness", recording_witness)
-    counts = counting_sequence(m, 8)
-    assert len(found) == searched
-    assert found.count(None) == rejected
-    assert len(found) - rejected == sum(counts)
-    assert len(passes) <= max_passes
+def test_class_sweep_certifies_members_from_lifted_witnesses(text, searched, rejected, max_passes):
+    levels = list(_class_levels(_upright(8, GridMatrix.parse(text))[0], 8))
+    assert sum(len(members) + len(out) for members, out, _, _ in levels[1:]) == searched
+    assert sum(len(out) for _, out, _, _ in levels) == rejected
+    assert sum(passes for _, _, passes, _ in levels) <= max_passes
 
 
 @pytest.mark.parametrize("division, x, lifts", [
@@ -570,8 +558,8 @@ def test_class_walk_keeps_a_witness_for_every_member(text):
     m = GridMatrix.parse(text)
     if m.t < m.u:
         m = _transpose(m)
-    for level in _class_levels(m, 7):
-        for entries, rows in level.items():
+    for members, *_ in _class_levels(m, 7):
+        for entries, rows in members.items():
             # _witness's completion: the least columns for these rows
             cols = _least_rows(entries, m.columns, _bands(rows))
             assert cols is not None, entries
@@ -795,10 +783,10 @@ def test_word_sweep_encodes_each_gridded_image_once(monkeypatch, text):
 def test_word_sweep_spells_what_encode_spells(monkeypatch, text):
     # Every normal form up to length 7, cycles included: each word the sweep
     # hands to _spell (the one word of an alphabet of at most one letter, or
-    # of length 0), each entry _extend inserts into a normal form of length
-    # 0..n - 1, named as spy_on_words names it, and each new image's
-    # divisions, which it hands to the cell rule right after that image's
-    # _spell or leaf's _extend.
+    # one word of length at most 1, which all spell the same entries), each
+    # entry _extend inserts into a normal form of length 0..n - 1, named as
+    # spy_on_words names it, and each new image's divisions, which it hands
+    # to the cell rule right after that image's _spell or leaf's _extend.
     m = GridMatrix.parse(text)
     signs = find_signs(m)
     spelled, extended, sweep = spy_on_words(monkeypatch, m, signs)
@@ -816,9 +804,10 @@ def test_word_sweep_spells_what_encode_spells(monkeypatch, text):
         for word, result in spelled:
             gp = encode(m, signs, word)
             assert result == (gp.perm.entries, gp.gridding.cols, gp.gridding.rows), word
-        assert [len(word) for word, _ in spelled] == [n] * (not n or len(alphabet(m)) < 2), n
+        assert [len(word) for word, _ in spelled] == [n] * (n < 2 or len(alphabet(m)) < 2), n
         leaves += sum(len(word) == n for word in extended) + len(spelled)
-    assert leaves == sum(trace_counts(m, 7))
+    traces = trace_counts(m, 7)
+    assert leaves == sum(traces) - traces[1] + 1
 
 
 def test_word_sweep_certifies_every_image(monkeypatch):
