@@ -24,7 +24,7 @@ their unpruned tree: one with more than SEARCH_BUDGET nodes raises
 LimitExceededError.  The gridding searches and the word sweep are refused
 before any work; the class sweeps also meter their walk's steps, so they
 are refused after bounded work.  Pattern containment (``perms.contains``)
-is the one exhaustive search without a budget.
+is metered, not admitted: each candidate index it tries is one step.
 """
 from __future__ import annotations
 

@@ -118,9 +118,12 @@ def containment_witness(
     breaks an order relation with an already-chosen entry, so the first
     complete assignment found is the lexicographically least witness.  The
     chosen indices are the stack, so no pattern length hits a recursion limit.
-    The search has no budget yet: it is neither admitted nor metered, and
-    its backtracking can take exponential time when sigma is absent.
+    Each candidate index tried is one step of ``gridding.SEARCH_BUDGET``, read
+    at call time: the step past it raises LimitExceededError, whose message
+    names the candidates tried, so every search costs bounded work.
     """
+    from . import gridding  # at call time: gridding imports this module
+    budget, tried = gridding.SEARCH_BUDGET, 0
     n, k = len(pi), len(sigma)
     p = pi.entries
     s = sigma.entries
@@ -130,6 +133,10 @@ def containment_witness(
         m = len(chosen)
         # leave room for the k - m - 1 indices still to come
         if i <= n - k + m + 1:
+            tried += 1
+            if tried > budget:
+                raise gridding.LimitExceededError(
+                    f"a length-{k} pattern search in length {n} tried {tried} candidates")
             v = p[i - 1]
             if all((v > p[j - 1]) == (s[m] > s[q]) for q, j in enumerate(chosen)):
                 chosen.append(i)
@@ -142,7 +149,8 @@ def containment_witness(
 
 
 def contains(pi: Permutation, sigma: Permutation) -> bool:
-    """Whether pi has a subsequence order-isomorphic to sigma.
+    """Whether pi has a subsequence order-isomorphic to sigma.  Raises
+    LimitExceededError as containment_witness does, past the search budget.
 
     >>> contains(Permutation((3, 9, 1, 8, 6, 7, 4, 5, 2)),
     ...          Permutation((5, 1, 3, 4, 2)))

@@ -188,15 +188,14 @@ def simple_cycles_with_signs(matrix):
     return cycles
 
 
-def spell_by_insertion(matrix, col_signs, row_signs, word):
-    """The (entries, cols, rows) a word spells, from the definition, one
-    letter at a time.  Column band k is the open interval (k - 1, k) of the
-    x axis and row band l the same interval of the y axis; letter (k, l)
-    adds a point midway between band k's right end and its rightmost point
-    if c_k = +1, or between its left end and its leftmost point if -1, and
-    likewise at the top or bottom of row band l as r_l is +1 or -1.  All
-    points are re-ranked after each insertion."""
-    points, entries = [], ()
+def insertion_points(matrix, col_signs, row_signs, word):
+    """Each letter's point in the plane, in word order, from the definition.
+    Column band k is the open interval (k - 1, k) of the x axis and row band
+    l the same interval of the y axis; letter (k, l) adds a point midway
+    between band k's right end and its rightmost point if c_k = +1, or
+    between its left end and its leftmost point if -1, and likewise at the
+    top or bottom of row band l as r_l is +1 or -1."""
+    points = []
     for k, l in word:
         assert matrix.entry(k, l) != 0, (k, l)
         xs = [x for x, _ in points if k - 1 < x < k]
@@ -204,10 +203,25 @@ def spell_by_insertion(matrix, col_signs, row_signs, word):
         x = (max(xs, default=k - 1) + k if col_signs[k - 1] == 1 else k - 1 + min(xs, default=k))
         y = (max(ys, default=l - 1) + l if row_signs[l - 1] == 1 else l - 1 + min(ys, default=l))
         points.append((Fraction(x) / 2, Fraction(y) / 2))
-        entries = tuple(sum(b <= y for _, b in points) for _, y in sorted(points))
+    return points
+
+
+def spell_by_insertion(matrix, col_signs, row_signs, word):
+    """The (entries, cols, rows) a word spells, from its insertion_points
+    ranked by x and by y."""
+    points = insertion_points(matrix, col_signs, row_signs, word)
+    entries = tuple(sum(b <= y for _, b in points) for _, y in sorted(points))
     cols = tuple(1 + sum(x < k for x, _ in points) for k in range(matrix.t + 1))
     rows = tuple(1 + sum(y < l for _, y in points) for l in range(matrix.u + 1))
     return entries, cols, rows
+
+
+def letter_indices(matrix, col_signs, row_signs, word):
+    """The index of each letter's point in the permutation the word spells:
+    the x-rank of its insertion_points point, in word order."""
+    points = insertion_points(matrix, col_signs, row_signs, word)
+    xs = sorted(x for x, _ in points)
+    return tuple(xs.index(x) + 1 for x, _ in points)
 
 
 def has_negative_simple_cycle(matrix) -> bool:

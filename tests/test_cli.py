@@ -210,9 +210,10 @@ def test_decode_inconsistent_orders_without_asserts(tmp_path):
     assert (proc.returncode, proc.stdout) == (1, "INCONSISTENT-ORDERS\n")
 
 
-# 4x3 all-+ and the decreasing permutation of length 60: C(63, 3) column
-# times C(62, 2) row divisions, about 75M pairs, far over the search budget.
-OVERSIZED_MEMBER = ("+ + + +\n+ + + +\n+ + + +", " ".join(map(str, range(60, 0, -1))))
+# 4x3 all-+ and the decreasing permutation of length 70: C(73, 3) column
+# times C(72, 2) row divisions, about 159M pairs, far over the search budget,
+# and even C(73, 3) column divisions of 70 steps each are 4.4M nodes.
+OVERSIZED_MEMBER = ("+ + + +\n+ + + +\n+ + + +", " ".join(map(str, range(70, 0, -1))))
 
 
 def test_member_refuses_oversized_search_at_once(capsys, tmp_path):

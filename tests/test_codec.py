@@ -12,6 +12,7 @@ from gridperms import (
     Permutation,
     SignAssignment,
     alphabet,
+    containment_witness,
     contains,
     decode,
     encode,
@@ -29,7 +30,9 @@ from .conftest import DEMO_MATRIX_TEXT, DEMO_WORD_TEXT
 from .oracles import (
     brute_griddings,
     brute_sign_assignments,
+    is_witness,
     least_index_replay,
+    letter_indices,
     spell_by_insertion,
 )
 from .strategies import matrices, words_over
@@ -187,6 +190,28 @@ def test_deletions_are_subwords(data):
     word = data.draw(words_over(DEMO))
     for j in range(len(word)):
         assert subword_leq(word[:j] + word[j + 1 :], word)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_kept_letters_witness_the_subword(data):
+    # The paper's lemma: a subword v of w encodes to a pattern of encode(w),
+    # witnessed at the points of the letters v keeps.  It needs only signs,
+    # so every matrix without a negative cycle qualifies, forest or not.
+    m = data.draw(matrices())
+    assume(not has_negative_cycle(m))
+    word = data.draw(words_over(m, max_len=30))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+    signs = find_signs(m)
+    negated = SignAssignment([-c for c in signs.col_signs], [-r for r in signs.row_signs])
+    for s in (signs, negated):
+        big = encode(m, s, word).perm
+        small = encode(m, s, tuple(letter for letter, kept in zip(word, keep) if kept)).perm
+        indices = letter_indices(m, s.col_signs, s.row_signs, word)
+        witness = tuple(sorted(i for i, kept in zip(indices, keep) if kept))
+        assert is_witness(big.entries, small.entries, witness), (s, word, keep)
+        if len(word) < 25:
+            assert containment_witness(big, small) <= witness
 
 
 # row and column orders

@@ -91,22 +91,43 @@ def test_one_cell_class_sweep_runs_past_nine():
     assert counting_sequence(one_cell, 150) == (1,) * 150
 
 
+class Admitted(Exception):
+    """Raised by watch_admission in place of an admitted search's work."""
+
+
+def watch_admission(monkeypatch):
+    """Wrap _admit where the searches call it, and give the list of its
+    decisions: True for each admission, which then raises Admitted, and
+    False for each refusal, which raises as _admit does."""
+    decisions, admit = [], gridperms.gridding._admit
+
+    def watched(*args):
+        try:
+            admit(*args)
+        except Exception:
+            decisions.append(False)
+            raise
+        decisions.append(True)
+        raise Admitted
+
+    for module in ("gridperms.gridding", "gridperms.enumeration"):
+        monkeypatch.setattr(f"{module}._admit", watched)
+    return decisions
+
+
 def refuses_before_any_work(monkeypatch, sweep):
     # in_grid_class's rule on a length-n search of "+", and of its
     # transpose "+" over "+", which is walked as "+": 1 + 1 + n nodes
-    calls = []
-    monkeypatch.setattr(
-        "gridperms.enumeration._witness", lambda *args: calls.append(args) or (None, 0)
-    )
+    decisions = watch_admission(monkeypatch)
     for text in ("+", "+\n+"):
         for n in (3_000_000, 10**100):
             start = time.perf_counter()
             with pytest.raises(LimitExceededError, match="search .* nodes"):
                 sweep(GridMatrix.parse(text), n)
             assert time.perf_counter() - start < 0.25, (text, n)
-        assert calls == []
         with pytest.raises(ValueError, match="nonnegative"):
             sweep(GridMatrix.parse(text), -1)
+    assert decisions == [False] * 6
 
 
 def test_counting_sequence_refuses_before_any_work(monkeypatch):
@@ -186,13 +207,12 @@ def test_word_sweep_budget(monkeypatch, demo_matrix, demo_signs):
 
 @pytest.mark.parametrize("n", [11, 10**8, 10**100])
 def test_word_sweep_refuses_at_once(monkeypatch, demo_matrix, demo_signs, n):
-    calls = []
-    monkeypatch.setattr("gridperms.enumeration._spell", lambda *args: calls.append(args))
+    decisions = watch_admission(monkeypatch)
     start = time.perf_counter()
     with pytest.raises(LimitExceededError):
         enumerate_via_words(demo_matrix, demo_signs, n)
     assert time.perf_counter() - start < 0.25
-    assert calls == []
+    assert decisions == [False]
 
 
 M33_TEXT = ". . +\n. - +\n+ + ."
@@ -227,8 +247,7 @@ SEARCHES = {
 # row divisions), 1 + C + C * n (in_grid_class and the class sweeps' longest
 # search: C divisions of the axis with p = min(t, u) parts, C = C(n + p - 1,
 # p - 1), each one pass of n steps, so a matrix and its transpose are
-# admitted alike).  The class sweeps also meter their walk, which the stubs
-# stop at once: no candidate is a member, and the walk ends at that empty level.
+# admitted alike).  The class sweeps also meter their walk after admission.
 @pytest.mark.parametrize("search, text, admitted, refused", [
     ("enumerate_class", "+", [2_999_998], [2_999_999, 10**100]),
     ("counting_sequence", "+", [2_999_998], [2_999_999, 10**100]),
@@ -257,30 +276,18 @@ SEARCHES = {
     ("in_grid_class", "- +\n. +\n+ .", [1731], [1732]),
 ])
 def test_search_admission_edges(monkeypatch, search, text, admitted, refused):
-    # Stubs make an admitted search stop at once and record any work done:
-    # the word sweep gets no letter masks, so its root has no children, and
-    # the one word of a one-letter alphabet spells the empty permutation.
-    calls = []
-    for target, result in [
-        ("gridperms.enumeration._witness", (None, 0)),
-        ("gridperms.enumeration._spell", ((), (1, 1), (1, 1))),
-        ("gridperms.enumeration._extend", None),
-        ("gridperms.enumeration._trace_masks", ()),
-        ("gridperms.gridding._bands_valid", True),
-        ("gridperms.gridding._least_rows", ()),
-    ]:
-        monkeypatch.setattr(target, lambda *args, result=result: calls.append(args) or result)
+    decisions = watch_admission(monkeypatch)
     matrix = GridMatrix.parse(text)
     for n in admitted:
-        SEARCHES[search](matrix, n)()
-    calls.clear()
+        with pytest.raises(Admitted):
+            SEARCHES[search](matrix, n)()
     for n in refused:
         run = SEARCHES[search](matrix, n)
         start = time.perf_counter()
         with pytest.raises(LimitExceededError, match="search .* nodes"):
             run()
         assert time.perf_counter() - start < 0.25, n
-    assert calls == []
+    assert decisions == [True] * len(admitted) + [False] * len(refused)
 
 
 # A sweep of the one-cell matrix, whose word tree has unit width, at a

@@ -1,11 +1,14 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridperms import Permutation, containment_witness, contains, pattern_of, window
+from gridperms import (
+    LimitExceededError, Permutation, containment_witness, contains, pattern_of, window,
+)
 
 from .oracles import brute_contains, is_witness
 from .strategies import permutations
@@ -169,6 +172,34 @@ def test_witness_is_lex_least_occurrence(pi, sigma):
         if other >= witness:
             break
         assert not is_witness(pi.entries, sigma.entries, other)
+
+
+# 21 is absent from 12...10: each first index f < 10 is tried, then each
+# index after it, so 9 + 45 candidates.  The example pinned in
+# test_containment_example_with_witness tries 20.
+@pytest.mark.parametrize("pi, sigma, charge, witness", [
+    (Permutation(tuple(range(1, 11))), Permutation((2, 1)), 54, None),
+    (Permutation.parse("391867452"), Permutation.parse("51342"), 20, (2, 3, 5, 6, 7)),
+])
+def test_containment_budget(monkeypatch, pi, sigma, charge, witness):
+    monkeypatch.setattr("gridperms.gridding.SEARCH_BUDGET", charge)
+    assert containment_witness(pi, sigma) == witness
+    monkeypatch.setattr("gridperms.gridding.SEARCH_BUDGET", charge - 1)
+    with pytest.raises(LimitExceededError, match=f"tried {charge} candidates$"):
+        contains(pi, sigma)
+
+
+def test_containment_refuses_a_long_search(monkeypatch):
+    # a random length-18 pattern in a random length-100 permutation, which
+    # an unmetered search found only after 23 s on 2 vCPUs
+    rng = random.Random(1)
+    pi = Permutation(rng.sample(range(1, 101), 100))
+    sigma = Permutation(rng.sample(range(1, 19), 18))
+    monkeypatch.setattr("gridperms.gridding.SEARCH_BUDGET", 10**5)
+    start = time.perf_counter()
+    with pytest.raises(LimitExceededError, match="length-18 .* tried 100001 candidates$"):
+        containment_witness(pi, sigma)
+    assert time.perf_counter() - start < 1
 
 
 def test_containment_is_a_partial_order_up_to_length_five():
