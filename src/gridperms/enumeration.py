@@ -25,10 +25,11 @@ entries as a ``bytes`` string and its divisions, so each one is its
 parent's with one C-level insertion, and the length-(n-1) and length-n ones
 are placed at their grandparent's divisions.  Bytes hold values up to 255,
 which admission guarantees for two or more letters; an alphabet of at most
-one letter, or a length n <= 1, spells one word, through ``encode``'s core.
-Each distinct image is checked once, with ``check_gridding``'s cell rule,
-when first spelled: only then are its divisions grown and banded, once per
-distinct division, and its ``Permutation`` built.  For matrices whose
+one letter, or a length n <= 1, has one word, which goes through ``encode``
+itself.  Each distinct image is checked once, with ``check_gridding``'s cell
+rule, when first spelled: only then are its divisions grown and banded, once
+per distinct division, and its ``Permutation`` built.  The walk reports the
+normal forms it spelled at each length, one per trace.  For matrices whose
 row-column graph is a forest the two agree; comparing them is the main
 cross-check this module exists for.
 Both draw on ``gridding.SEARCH_BUDGET``: the word sweep counts |alphabet| ** k
@@ -42,7 +43,7 @@ from collections.abc import Callable, Iterator
 from functools import cache
 
 from . import gridding
-from .codec import _RANGE, Letter, _check_signs, _extend, _grow, _slots, _spell
+from .codec import _RANGE, Letter, _check_signs, _extend, _grow, _slots, encode
 from .graphs import SignAssignment
 from .gridding import _admit, _bands, _bands_valid, _upright, _witness
 from .matrices import GridMatrix
@@ -179,23 +180,12 @@ def enumerate_via_words(
     """Images under the encoder of all length-n words.
 
     Words equal up to commuting letters encode the same gridded
-    permutation, so only the lexicographic trace normal forms are encoded;
-    the image set is that of all |alphabet| ** n words.  Masks admit each
-    next letter in one test (_trace_masks).  Each normal form's spelling
-    rides the stack, its entries as bytes and its divisions: a child is its
-    parent's entries with one _extend at its letter's _slots and its
-    divisions grown in one band each (_grow, cached per call).  A
-    length-(n - 1) one keeps its last letter (k', l') instead, and each leaf
-    is one more _extend, at the grandparent's divisions plus one at or past
-    k' or l'.  Only a new image's divisions are grown and banded (once per
-    division) and checked with the cell rule before the image is built.
-
-    Bytes hold values up to 255, which admission guarantees for two or more
-    letters: a length-n word tree then has at least 2 ** (n + 1) - 1 nodes,
-    so n <= 20 under today's budget.  With at most one letter, or n <= 1,
-    every word spells the same entries, so one is spelled (_spell), checked
-    and built alone.  Signs that do not match the matrix, and lengths whose
-    word tree is over the search budget, are refused before any work.
+    permutation, so only the lexicographic trace normal forms are encoded
+    (_word_images); the image set is that of all |alphabet| ** n words.
+    With at most one letter, or n <= 1, every word spells the same entries,
+    so one goes through ``encode`` itself.  Signs that do not match the
+    matrix, and lengths whose word tree is over the search budget, are
+    refused before any work.
     """
     _check_signs(matrix, signs)
     letters = matrix.nonzero_cells()
@@ -203,11 +193,33 @@ def enumerate_via_words(
     if len(letters) < 2 or n < 2:  # every word spells the same entries
         if n and not letters:
             return set()
-        entries, cols, rows = _spell(letters[:1] * n, signs)
-        return {_image(entries, matrix, cols, rows, _bands)}
+        return {encode(matrix, signs, letters[:1] * n).perm}
+    images, _ = _word_images(matrix, signs, letters, n)
+    return set(images.values())
+
+
+def _word_images(
+    matrix: GridMatrix, signs: SignAssignment, letters: tuple[Letter, ...], n: int
+) -> tuple[dict[bytes, Permutation], list[int]]:
+    """The length-n normal forms' images over two or more letters, n >= 2,
+    each distinct one's entries as bytes to its ``Permutation``, and per
+    length k = 0..n the normal forms spelled, one per trace (Cartier-Foata).
+
+    Masks admit each next letter in one test (_trace_masks).  Each normal
+    form's spelling rides the stack, its entries as bytes and its divisions:
+    a child is its parent's entries with one _extend at its letter's _slots
+    and its divisions grown in one band each (_grow, cached per call).  A
+    length-(n - 1) one keeps its last letter (k', l') instead, and each leaf
+    is one more _extend, at the grandparent's divisions plus one at or past
+    k' or l'.  Only a new image's divisions are grown and banded (once per
+    division) and checked with the cell rule before the image is built.
+    Bytes hold values up to 255, which admission guarantees for two or more
+    letters: a length-n word tree then has at least 2 ** (n + 1) - 1 nodes,
+    so n <= 20 under today's budget.
+    """
     masks = [(letter, *_slots(letter, signs), *rest) for letter, *rest in _trace_masks(letters)]
     images: dict[bytes, Permutation] = {}
-    band, grow = cache(_bands), cache(_grow)
+    spelled, band, grow = [1] + [0] * n, cache(_bands), cache(_grow)
     # Depth-first with an explicit stack, so long words cannot exhaust the
     # recursion limit; each item (entries, cols, rows, depth, blocked) spells
     # a normal form of length depth and masks the letters barred after it.
@@ -216,33 +228,30 @@ def enumerate_via_words(
         entries, cols, rows, depth, blocked = stack.pop()
         if depth < n - 2:
             depth += 1
-            stack += [(_extend(entries, cols[i], rows[v]), grow(cols, k), grow(rows, l), depth,
-                       (blocked | below) & commute)
-                      for (k, l), i, v, bit, below, commute in masks if not blocked & bit]
+            children = [(_extend(entries, cols[i], rows[v]), grow(cols, k), grow(rows, l), depth,
+                         (blocked | below) & commute)
+                        for (k, l), i, v, bit, below, commute in masks if not blocked & bit]
+            spelled[depth] += len(children)
+            stack += children
             continue
         # the length-(n - 1) normal forms with their last letters
         prefixes = [(_extend(entries, cols[i], rows[v]), letter, (blocked | below) & commute)
                     for letter, i, v, bit, below, commute in masks if not blocked & bit]
+        spelled[n - 1] += len(prefixes)
         for prefix, (k, l), after in prefixes:
+            spelled[n] += len(masks) - after.bit_count()  # one leaf per letter not barred
             for (x, y), i, v, bit, _, _ in masks:
                 if after & bit:
                     continue
                 # the prefix's divisions: its letter grew those from slots k and l on
                 leaf = _extend(prefix, cols[i] + (i >= k), rows[v] + (v >= l))
                 if leaf not in images:
-                    images[leaf] = _image(leaf, matrix, grow(cols, k, x), grow(rows, l, y), band)
-    return set(images.values())
-
-
-def _image(
-    entries: bytes | tuple[int, ...], matrix: GridMatrix, cols: tuple[int, ...],
-    rows: tuple[int, ...], band: Callable[[tuple[int, ...]], list[int]],
-) -> Permutation:
-    """The permutation a word spells, given its entries and divisions, once
-    check_gridding's cell rule holds for them; ``band`` bands the rows."""
-    if not _bands_valid(entries, matrix.columns, band(rows), cols):
-        raise ValueError(f"{tuple(entries)} has no valid gridding {cols} x {rows}")
-    return Permutation(entries)
+                    leaf_cols, leaf_rows = grow(cols, k, x), grow(rows, l, y)
+                    if not _bands_valid(leaf, matrix.columns, band(leaf_rows), leaf_cols):
+                        raise ValueError(
+                            f"{tuple(leaf)} has no valid gridding {leaf_cols} x {leaf_rows}")
+                    images[leaf] = Permutation(leaf)
+    return images, spelled
 
 
 def counting_sequence(matrix: GridMatrix, n_max: int) -> tuple[int, ...]:

@@ -33,17 +33,15 @@ from gridperms import (
     pattern_of,
     row_column_graph,
 )
-from gridperms.codec import _extend, _spell
-from gridperms.enumeration import _class_levels, _hints, _lifts
-from gridperms.gridding import (
-    _bands, _bands_valid, _inverse, _least_rows, _transpose, _upright, _witness,
-)
+from gridperms.codec import _extend, _grow, _slots, _spell
+from gridperms.enumeration import _class_levels, _hints, _lifts, _trace_masks, _word_images
+from gridperms.gridding import _bands, _inverse, _least_rows, _transpose, _upright
 
 from .conftest import DEMO_MATRIX_TEXT
 from .oracles import (
     division_sequences, filter_class, is_normal_form, recurrence, trace_counts, word_images,
 )
-from .strategies import matrices
+from .strategies import matrices, words_over
 
 ONE_ROW = GridMatrix.parse("+ +")
 
@@ -371,37 +369,41 @@ def test_word_sweep_checks_signs_on_entry(n):
     ("- +\n. +\n+ .", 7, [1093, 3280]),
     ("+ . -\n. . .\n- . +", 6, [560, 1912]),
 ])
-def test_word_sweep_encodes_one_word_per_trace(monkeypatch, text, n_max, tail):
-    # Cartier-Foata: exactly one normal form per trace, cycles included.
-    # With two or more letters and n >= 2 _extend inserts the last entry of
-    # each normal form of length 1..n and _spell is never called; the one
-    # word of a one-letter alphabet, and one word of length n <= 1, which
-    # all spell the same entries, are _spell's.
+def test_word_sweep_encodes_one_word_per_trace(text, n_max, tail):
+    # Cartier-Foata: exactly one normal form per trace, cycles included.  The
+    # walk reports the normal forms it spelled at each length; the one word
+    # of a one-letter alphabet goes through encode alone.
     m = GridMatrix.parse(text)
-    signs = find_signs(m)
+    signs, letters = find_signs(m), m.nonzero_cells()
     traces = trace_counts(m, n_max)
     assert traces[-2:] == tail
-    spelled, extended = [], []
-
-    def counting_spell(*args):
-        spelled.append(None)
-        return _spell(*args)
-
-    def counting_extend(entries, index, value):
-        extended.append(len(entries) + 1)
-        return _extend(entries, index, value)
-
-    monkeypatch.setattr("gridperms.enumeration._spell", counting_spell)
-    monkeypatch.setattr("gridperms.enumeration._extend", counting_extend)
-    for n in range(n_max + 1):
-        spelled.clear()
-        extended.clear()
-        enumerate_via_words(m, signs, n)
-        if n > 1 and len(alphabet(m)) > 1:
-            assert sorted(extended) == [k for k in range(1, n + 1) for _ in range(traces[k])], n
-            assert spelled == [], n
+    for n in range(2, n_max + 1):
+        if len(letters) > 1:
+            assert _word_images(m, signs, letters, n)[1] == traces[:n + 1], n
         else:
-            assert extended == [] and len(spelled) == 1, n
+            assert len(enumerate_via_words(m, signs, n)) == traces[n] == 1, n
+
+
+def fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+# Cartier-Foata denominators, which share no code with trace_counts: DEMO's
+# row-column graph is a path on five vertices, with 1 - 4x + 3x ** 2 =
+# (1 - x)(1 - 3x), and M22's a path on four, with 1 - 3x + x ** 2, whose
+# series takes every other Fibonacci number.
+@pytest.mark.parametrize("text, n, closed_form, images", [
+    (DEMO_MATRIX_TEXT, 10, lambda k: (3 ** (k + 1) - 1) // 2, 22760),
+    ("+ .\n+ -", 11, lambda k: fibonacci(2 * k + 2), 26610),
+], ids=["DEMO", "M22"])
+def test_word_sweep_spells_the_closed_form_trace_counts(text, n, closed_form, images):
+    m = GridMatrix.parse(text)
+    found, spelled = _word_images(m, find_signs(m), m.nonzero_cells(), n)
+    assert spelled == [closed_form(k) for k in range(n + 1)]
+    assert len(found) == images
 
 
 def test_word_images_length_one(demo_matrix, demo_signs):
@@ -578,21 +580,22 @@ def test_class_walk_keeps_a_witness_for_every_member(text):
     ("- +\n. +\n+ .", (1, 2, 6, 20, 67, 221)),
     (M33_TEXT, (1, 2, 6, 22, 87, 347)),
 ])
-def test_class_sweep_hints_are_divisions_of_the_candidate(monkeypatch, text, counts):
-    # DEMO's transpose is walked as DEMO, on its two rows.
-    m = GridMatrix.parse(text)
-    parts = min(m.t, m.u)
-
-    def checking_witness(entries, matrix, hints=()):
-        hints = list(hints)
-        n = len(entries)
-        assert hints or n == 1
-        assert {rows for rows, _ in hints} <= set(division_sequences(n, parts)), entries
-        assert all(row_of == _bands(rows) for rows, row_of in hints), entries
-        return _witness(entries, matrix, hints)
-
-    monkeypatch.setattr("gridperms.enumeration._witness", checking_witness)
-    assert counting_sequence(m, 6) == counts
+def test_class_sweep_hints_are_divisions_of_the_candidate(text, counts):
+    # DEMO's transpose is walked as DEMO, on its two rows.  Each searched
+    # candidate, member or rejected, is handed the hints built here from the
+    # level below, as the walk builds them.
+    m = _upright(6, GridMatrix.parse(text))[0]
+    levels = list(_class_levels(m, 6))
+    assert tuple(len(members) for members, *_ in levels[1:]) == counts
+    for n in range(1, 7):
+        below, (members, rejected, *_) = levels[n - 1][0], levels[n]
+        for child in [*members, *rejected]:
+            division = below[child.replace(bytes((n,)), b"")]
+            lifted = [(rows, _bands(rows)) for rows in _lifts(division, n, n)]
+            hints = list(_hints(child, lifted, below, _bands))
+            assert hints, child
+            assert {rows for rows, _ in hints} <= set(division_sequences(n, m.u)), child
+            assert all(row_of == _bands(rows) for rows, row_of in hints), child
 
 
 # Shapes 1x2 to 3x3, so some are walked as their transposes.
@@ -715,116 +718,89 @@ def test_sweeps_band_each_division_once(monkeypatch, text):
         assert len(banded) == len(set(banded)) <= len(images), n
 
 
-class Spelling(bytes):
-    """Entries that carry the word they spell and the index of the next
-    letter to try after it; CPython shares bytes of length at most one, so
-    the entries alone cannot name their word."""
-
-
-def spy_on_words(monkeypatch, m, signs):
-    """Spies on the word sweep's _spell and _extend that name the word each
-    spelling comes from: the lists of (word, what _spell gave) and of the
-    words whose entries _extend gave, in call order, and a sweep(n) that
-    clears both and runs the word sweep.  _extend is handed only entries, an
-    index and a value, so each call is named after the least letter, past
-    the last one taken from the same entries, that extends their word to a
-    normal form whose encoding has the entries it gives: the sweep extends
-    each normal form by its normal-form letters in order.  Each result is
-    tagged with its word; the untagged entries are the root's, the empty
-    word's."""
-    letters = sorted(alphabet(m))
-    spelled, extended = [], []
-    root = Spelling()
-
-    def tracking_spell(word, signs):
-        result = _spell(word, signs)
-        spelled.append((tuple(word), result))
-        return result
-
-    def tracking_extend(entries, index, value):
-        if not isinstance(entries, Spelling):
-            assert entries == b""
-            entries = root
-        result = _extend(entries, index, value)
-        for j in range(entries.start, len(letters)):
-            longer = entries.word + (letters[j],)
-            if is_normal_form(longer) and encode(m, signs, longer).perm.entries == tuple(result):
-                break
-        else:
-            raise AssertionError(f"no normal form after {entries.word} spells {tuple(result)}")
-        entries.start = j + 1
-        extended.append(longer)
-        result = Spelling(result)
-        result.word, result.start = longer, 0
-        return result
-
-    def sweep(n):
-        spelled.clear()
-        extended.clear()
-        root.word, root.start = (), 0
-        return enumerate_via_words(m, signs, n)
-
-    monkeypatch.setattr("gridperms.enumeration._spell", tracking_spell)
-    monkeypatch.setattr("gridperms.enumeration._extend", tracking_extend)
-    return spelled, extended, sweep
-
-
 @pytest.mark.parametrize("text", [DEMO_MATRIX_TEXT, "+ +\n+ +"])
-def test_word_sweep_encodes_each_gridded_image_once(monkeypatch, text):
+def test_word_sweep_encodes_each_gridded_image_once(text):
+    # encode is injective on traces, so the gridded images of all |A| ** n
+    # words number the traces, whose normal forms the sweep spells once each
     m = GridMatrix.parse(text)
-    signs = find_signs(m)
-    _, extended, sweep = spy_on_words(monkeypatch, m, signs)
-    sweep(5)
-    # the normal forms of each length 1..4 grow into those one longer
-    for n in range(1, 6):
-        at_n = [encode(m, signs, word) for word in extended if len(word) == n]
-        every_word = product(sorted(alphabet(m)), repeat=n)
-        assert len(at_n) == len(set(at_n)), n
-        assert set(at_n) == {encode(m, signs, word) for word in every_word}, n
+    signs, letters = find_signs(m), sorted(alphabet(m))
+    traces = trace_counts(m, 5)
+    for n in range(6):
+        gridded = {encode(m, signs, word) for word in product(letters, repeat=n)}
+        assert len(gridded) == traces[n], n
+
+
+def check_word_kernels(m, signs, word):
+    """The word sweep's kernels, each against _spell, encode's core, on the
+    longer word: a child is its parent's spelling extended at its letter's
+    slots, and a leaf is placed at its grandparent's divisions, past the
+    prefix letter's slots; the masks admit exactly the normal forms.  Any
+    sign assignment serves."""
+    letters = m.nonzero_cells()
+    masks = {letter: rest for letter, *rest in _trace_masks(letters)}
+
+    def spelling(word):
+        entries, cols, rows = _spell(word, signs)
+        return bytes(entries), cols, rows
+
+    def admitted(word):
+        blocked = 0
+        for letter in word:
+            bit, below, commute = masks[letter]
+            if blocked & bit:
+                return False
+            blocked = (blocked | below) & commute
+        return True
+
+    entries, cols, rows = spelling(word)
+    for j in range(len(word) + 1):
+        assert admitted(word[:j]) == is_normal_form(word[:j]), word[:j]
+    for (k, l) in letters:
+        i, v = _slots((k, l), signs)
+        prefix, child = _extend(entries, cols[i], rows[v]), word + ((k, l),)
+        assert (prefix, _grow(cols, k), _grow(rows, l)) == spelling(child), child
+        assert admitted(child) == is_normal_form(child), child
+        for (x, y) in letters:
+            i, v = _slots((x, y), signs)
+            leaf = _extend(prefix, cols[i] + (i >= k), rows[v] + (v >= l))
+            longer = word + ((k, l), (x, y))
+            assert (leaf, _grow(cols, k, x), _grow(rows, l, y)) == spelling(longer), longer
+            assert admitted(longer) == is_normal_form(longer), longer
 
 
 @pytest.mark.parametrize(
     "text", [DEMO_MATRIX_TEXT, "+ .\n+ -", M33_TEXT, "+ +\n+ +", "+",
              "- +\n. +\n+ .", "+ . -\n. . .\n- . +"]
 )
-def test_word_sweep_spells_what_encode_spells(monkeypatch, text):
-    # Every normal form up to length 7, cycles included: each word the sweep
-    # hands to _spell (the one word of an alphabet of at most one letter, or
-    # one word of length at most 1, which all spell the same entries), each
-    # entry _extend inserts into a normal form of length 0..n - 1, named as
-    # spy_on_words names it, and each new image's divisions, which it hands
-    # to the cell rule right after that image's _spell or leaf's _extend.
+def test_word_sweep_spells_what_encode_spells(text):
+    # Every word up to length 3 and its one- and two-letter extensions, cycles
+    # included, through the kernels; then the sweep's images against encode's
+    # on every word up to length 5.
     m = GridMatrix.parse(text)
-    signs = find_signs(m)
-    spelled, extended, sweep = spy_on_words(monkeypatch, m, signs)
+    signs, letters = find_signs(m), sorted(alphabet(m))
+    for n in range(4):
+        for word in product(letters, repeat=n):
+            check_word_kernels(m, signs, word)
+    for n in range(6):
+        assert enumerate_via_words(m, signs, n) == word_images(m, signs, n), n
 
-    def checking_cells(entries, columns, row_of, cols):
-        word = extended[-1] if extended else spelled[-1][0]
-        g = encode(m, signs, word).gridding
-        assert (row_of, cols) == (_bands(g.rows), g.cols), word
-        return _bands_valid(entries, columns, row_of, cols)
 
-    monkeypatch.setattr("gridperms.enumeration._bands_valid", checking_cells)
-    leaves = 0
-    for n in range(8):
-        sweep(n)
-        for word, result in spelled:
-            gp = encode(m, signs, word)
-            assert result == (gp.perm.entries, gp.gridding.cols, gp.gridding.rows), word
-        assert [len(word) for word, _ in spelled] == [n] * (n < 2 or len(alphabet(m)) < 2), n
-        leaves += sum(len(word) == n for word in extended) + len(spelled)
-    traces = trace_counts(m, 7)
-    assert leaves == sum(traces) - traces[1] + 1
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_word_sweep_kernels_match_spell_on_any_matrix(data):
+    m = data.draw(matrices().filter(lambda m: not has_negative_cycle(m)))
+    check_word_kernels(m, find_signs(m), data.draw(words_over(m, max_len=6)))
 
 
 def test_word_sweep_certifies_every_image(monkeypatch):
-    # A core that spelled 21 with one + cell would break the cell rule.
+    # A core that spelled 21 with one + cell would break the cell rule, which
+    # encode checks on the one word of a one-letter alphabet.
     monkeypatch.setattr(
-        "gridperms.enumeration._spell",
+        "gridperms.codec._spell",
         lambda *args: ((2, 1), (1, 3), (1, 3)),
     )
     one_cell = GridMatrix.parse("+")
-    with pytest.raises(ValueError, match="no valid gridding"):
+    with pytest.raises(ValueError, match="not a valid gridding"):
         enumerate_via_words(one_cell, SignAssignment((1,), (1,)), 2)
 
 
@@ -843,18 +819,11 @@ def test_word_sweep_certifies_every_leaf(monkeypatch, demo_matrix, demo_signs):
 @pytest.mark.parametrize("text, n, images", [
     ("+", 0, 1), ("+", 3, 1), ("-", 3, 1), (". .", 0, 1), (". .", 3, 0), (DEMO_MATRIX_TEXT, 0, 1),
 ])
-def test_word_sweep_checks_its_one_word(monkeypatch, text, n, images):
+def test_word_sweep_checks_its_one_word(text, n, images):
     # an alphabet of at most one letter, or n = 0, has at most one word,
-    # whose image is checked like any other
-    checks = []
-
-    def counting_check(*args):
-        checks.append(None)
-        return _bands_valid(*args)
-
-    monkeypatch.setattr("gridperms.enumeration._bands_valid", counting_check)
+    # which encode spells and checks
     m = GridMatrix.parse(text)
-    assert len(enumerate_via_words(m, find_signs(m), n)) == len(checks) == images
+    assert len(enumerate_via_words(m, find_signs(m), n)) == images
 
 
 @pytest.mark.parametrize("text, n", [
@@ -869,17 +838,12 @@ def test_word_sweep_past_the_byte_range(text, n):
     assert enumerate_via_words(m, find_signs(m), n) == expected
 
 
-def test_word_sweep_checks_each_image_once(monkeypatch, demo_matrix, demo_signs):
-    # 1,093 normal forms spell the 221 images of length 6
-    checks = []
-
-    def counting_check(*args):
-        checks.append(None)
-        return _bands_valid(*args)
-
-    monkeypatch.setattr("gridperms.enumeration._bands_valid", counting_check)
-    images = enumerate_via_words(demo_matrix, demo_signs, 6)
-    assert len(images) == len(checks) == 221
+def test_word_sweep_checks_each_image_once(demo_matrix, demo_signs):
+    # 1,093 normal forms spell the 221 images of length 6, each kept under
+    # its spelling, so built and checked once
+    images, spelled = _word_images(demo_matrix, demo_signs, demo_matrix.nonzero_cells(), 6)
+    assert spelled[6] == 1093 and len(images) == 221
+    assert all(tuple(entries) == tuple(pi.entries) for entries, pi in images.items())
 
 
 def test_word_sweep_does_not_recurse():
