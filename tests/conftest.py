@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import gridperms
 from gridperms import GridMatrix, Gridding, Permutation, SignAssignment, parse_word
 
 # One showcase instance exercises every operation: a 3x2 matrix with four
@@ -8,6 +14,15 @@ from gridperms import GridMatrix, Gridding, Permutation, SignAssignment, parse_w
 # that encodes to exactly that gridded permutation.
 DEMO_MATRIX_TEXT = ". + +\n+ . -"
 DEMO_WORD_TEXT = "3,1 3,1 2,2 3,2 1,1 2,2 3,2 3,1 1,1"
+
+
+def run_python(*args, timeout):
+    """A fresh interpreter's run on these arguments, importing this source."""
+    src = Path(gridperms.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
 
 
 @pytest.fixture

@@ -1,18 +1,21 @@
-"""Brute-force reference implementations, independent of the library code.
+"""Brute-force reference implementations, and the helpers tests share.
 
 Each function recomputes an answer by the most direct search available so
 the library's single-pass or propagation-based routes have something to
-disagree with.  The two sweep references, ``filter_class`` and
-``word_images``, are the exception: they run the library's gridding search
-and encoder over every permutation or every word, so the pruned sweeps in
-``gridperms.enumeration`` have an exhaustive route to match.  The gridding
-search there is ``find_gridding``, not the ``in_grid_class`` search the
-class sweep runs.  Everything here is exponential; keep inputs small.
+disagree with.  The kernel-free ones can check the cell kernel that
+``check_gridding``, ``find_gridding`` and both sweeps share: among them
+``valid_gridding`` and ``brute_griddings`` test each cell's window, and
+``inverse``, ``transpose`` and ``oriented`` redo the searches' orientation.
+The two sweep references, ``filter_class`` and ``word_images``, run the
+library's ``find_gridding`` and ``encode`` over every permutation or every
+word, and so share that kernel: they give the pruned sweeps an exhaustive
+route to match, not a check of the kernel.  Everything here is
+exponential; keep inputs small.
 """
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from gridperms import Permutation, alphabet, encode, find_gridding
+from gridperms import GridMatrix, Permutation, SignAssignment, alphabet, encode, find_gridding
 
 
 def brute_contains(pi, sigma) -> bool:
@@ -48,6 +51,45 @@ def division_sequences(n, parts):
     """All 1 = d_1 <= ... <= d_(parts+1) = n+1, lexicographically."""
     for middle in combinations_with_replacement(range(1, n + 2), parts - 1):
         yield (1,) + middle + (n + 1,)
+
+
+def inverse(pi):
+    """The entries of pi's inverse: its indices in the order of their values."""
+    p = tuple(pi)
+    return tuple(sorted(range(1, len(p) + 1), key=lambda i: p[i - 1]))
+
+
+def transpose(matrix):
+    """The matrix with entry (k, l) moved to (l, k)."""
+    return GridMatrix(tuple(zip(*matrix.columns)))
+
+
+def oriented(matrix, pi=()):
+    """The matrix and entries a row search runs on: with fewer columns than
+    rows, the transpose and pi's inverse, whose rows are pi's columns."""
+    if matrix.t < matrix.u:
+        return transpose(matrix), inverse(pi)
+    return matrix, tuple(pi)
+
+
+def negated(signs):
+    """The assignment with every sign flipped, which fits the same matrices."""
+    return SignAssignment(tuple(-c for c in signs.col_signs), tuple(-r for r in signs.row_signs))
+
+
+def all_matrices(t, u):
+    """Every t x u matrix over 0, 1 and -1, its entries read column by column."""
+    for entries in product((0, 1, -1), repeat=t * u):
+        yield GridMatrix([entries[k * u:(k + 1) * u] for k in range(t)])
+
+
+def squared_spectral_radius(matrix) -> float:
+    """rho(G) ** 2 of the row-column graph G, by numpy's eigenvalues."""
+    import numpy
+    adjacency = numpy.zeros((matrix.t + matrix.u, matrix.t + matrix.u))
+    for k, l in matrix.nonzero_cells():
+        adjacency[k - 1, matrix.t + l - 1] = adjacency[matrix.t + l - 1, k - 1] = 1
+    return max(numpy.linalg.eigvalsh(adjacency)) ** 2
 
 
 def _window_fits(pi, entry, i_lo, i_hi, v_lo, v_hi) -> bool:

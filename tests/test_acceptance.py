@@ -34,6 +34,7 @@ from gridperms import (
 
 from .conftest import DEMO_MATRIX_TEXT, DEMO_WORD_TEXT
 from .oracles import (
+    all_matrices,
     brute_sign_assignments,
     filter_class,
     has_negative_simple_cycle,
@@ -51,13 +52,6 @@ def report(capsys, number, label, ok, elapsed, budget):
               f"({elapsed:.2f}s of {budget:.0f}s budget)")
     assert ok, f"acceptance {number} ({label}) failed"
     assert elapsed < budget, f"acceptance {number} overran {budget}s: {elapsed:.2f}s"
-
-
-def all_matrices(t, u):
-    for entries in itertools.product((0, 1, -1), repeat=t * u):
-        yield GridMatrix(
-            tuple(tuple(entries[k * u + l] for l in range(u)) for k in range(t))
-        )
 
 
 def test_1_showcase_codec_reproduction(capsys):
@@ -108,10 +102,7 @@ def test_3_sign_existence_three_routes(capsys):
     rng = random.Random(20260817)
     pool = list(all_matrices(2, 2))
     for _ in range(500):
-        entries = [rng.choice((0, 1, -1)) for _ in range(9)]
-        pool.append(
-            GridMatrix(tuple(tuple(entries[k * 3 + l] for l in range(3)) for k in range(3)))
-        )
+        pool.append(GridMatrix([[rng.choice((0, 1, -1)) for _ in range(3)] for _ in range(3)]))
 
     mismatches = 0
     for m in pool:

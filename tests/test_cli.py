@@ -1,27 +1,22 @@
 import contextlib
 import io
 import json
-import os
 import random
 import re
 import shlex
-import subprocess
-import sys
 import time
 from argparse import Namespace
-from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gridperms
 from gridperms import GridMatrix, alphabet
 from gridperms.cli import cmd_encode, main
 
-from .conftest import DEMO_MATRIX_TEXT
-from .oracles import brute_sign_assignments
+from .conftest import DEMO_MATRIX_TEXT, run_python
+from .oracles import all_matrices, brute_sign_assignments
 from .strategies import permutations
 
 
@@ -131,13 +126,12 @@ def test_one_sign_flag_gives_the_output_of_both():
     # every sign assignment of every 2x2 matrix and of random ones up to 3x3,
     # through the encode handler
     rng = random.Random(18)
-    shapes = [(2, 2, entries) for entries in product((0, 1, -1), repeat=4)]
+    pool = list(all_matrices(2, 2))
     for _ in range(400):
         t, u = rng.randint(1, 3), rng.randint(1, 3)
-        shapes.append((t, u, [rng.choice((0, 1, -1)) for _ in range(t * u)]))
+        pool.append(GridMatrix([[rng.choice((0, 1, -1)) for _ in range(u)] for _ in range(t)]))
     cases = 0
-    for t, u, entries in shapes:
-        m = GridMatrix([entries[k * u:(k + 1) * u] for k in range(t)])
+    for m in pool:
         word = [f"{k},{l}" for k, l in sorted(alphabet(m))] * 2
 
         def encode_with(col_signs=None, row_signs=None):
@@ -200,13 +194,8 @@ def test_decode_inconsistent_orders(capsys, tmp_path):
 
 def test_decode_inconsistent_orders_without_asserts(tmp_path):
     path = write_matrix(tmp_path, "+ +\n+ +")
-    src = Path(gridperms.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "gridperms.cli", "decode", path, "4123",
-         "cols=1,3,5", "rows=1,3,5"],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
+    proc = run_python("-O", "-m", "gridperms.cli", "decode", path, "4123",
+                      "cols=1,3,5", "rows=1,3,5", timeout=60)
     assert (proc.returncode, proc.stdout) == (1, "INCONSISTENT-ORDERS\n")
 
 
@@ -237,13 +226,8 @@ def test_member_refuses_oversized_search_at_once(capsys, tmp_path):
 def test_member_refuses_oversized_search_without_asserts(tmp_path):
     text, perm = OVERSIZED_MEMBER
     path = write_matrix(tmp_path, text)
-    src = Path(gridperms.__file__).resolve().parents[1]
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "gridperms.cli", "--json", "member", path, perm],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
+    proc = run_python("-O", "-m", "gridperms.cli", "--json", "member", path, perm, timeout=60)
     assert time.perf_counter() - start < 2
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"] == "LIMIT-EXCEEDED"

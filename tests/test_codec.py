@@ -33,6 +33,7 @@ from .oracles import (
     is_witness,
     least_index_replay,
     letter_indices,
+    negated,
     spell_by_insertion,
 )
 from .strategies import matrices, words_over
@@ -135,8 +136,7 @@ def test_extend_spells_the_word_with_its_last_letter(data):
     word = data.draw(words_over(m))
     assume(word)
     signs = find_signs(m)
-    negated = SignAssignment([-c for c in signs.col_signs], [-r for r in signs.row_signs])
-    for s in (signs, negated):
+    for s in (signs, negated(signs)):
         (entries, cols, rows), (k, l) = _spell(word[:-1], s), word[-1]
         i, v = _slots(word[-1], s)
         gp = encode(m, s, word)
@@ -161,8 +161,7 @@ def test_encode_matches_spelling_by_insertion(data):
     assume(not has_negative_cycle(m))
     word = data.draw(words_over(m))
     signs = find_signs(m)
-    negated = SignAssignment([-c for c in signs.col_signs], [-r for r in signs.row_signs])
-    for s in (signs, negated):
+    for s in (signs, negated(signs)):
         gp = encode(m, s, word)
         spelled = spell_by_insertion(m, s.col_signs, s.row_signs, word)
         assert spelled == (gp.perm.entries, gp.gridding.cols, gp.gridding.rows), (s, word)
@@ -203,8 +202,7 @@ def test_kept_letters_witness_the_subword(data):
     word = data.draw(words_over(m, max_len=30))
     keep = data.draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
     signs = find_signs(m)
-    negated = SignAssignment([-c for c in signs.col_signs], [-r for r in signs.row_signs])
-    for s in (signs, negated):
+    for s in (signs, negated(signs)):
         big = encode(m, s, word).perm
         small = encode(m, s, tuple(letter for letter, kept in zip(word, keep) if kept)).perm
         indices = letter_indices(m, s.col_signs, s.row_signs, word)

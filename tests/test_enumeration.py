@@ -1,12 +1,8 @@
 import gc
-import os
 import re
-import subprocess
-import sys
 import time
 from functools import partial
 from itertools import permutations, product
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,13 +10,11 @@ from hypothesis import strategies as st
 
 import gridperms
 from gridperms import (
-    Gridding,
     GridMatrix,
     LimitExceededError,
     Permutation,
     SignAssignment,
     alphabet,
-    check_gridding,
     counting_sequence,
     encode,
     enumerate_class,
@@ -35,11 +29,13 @@ from gridperms import (
 )
 from gridperms.codec import _extend, _grow, _slots, _spell
 from gridperms.enumeration import _class_levels, _hints, _lifts, _trace_masks, _word_images
-from gridperms.gridding import _bands, _inverse, _least_rows, _transpose, _upright
+from gridperms.gridding import _bands, _least_rows, _upright
 
-from .conftest import DEMO_MATRIX_TEXT
+from .conftest import DEMO_MATRIX_TEXT, run_python
 from .oracles import (
-    division_sequences, filter_class, is_normal_form, recurrence, trace_counts, word_images,
+    all_matrices, brute_sign_assignments, division_sequences, filter_class, inverse,
+    is_normal_form, negated, oriented, recurrence, squared_spectral_radius, trace_counts,
+    transpose, valid_gridding, word_images,
 )
 from .strategies import matrices, words_over
 
@@ -203,11 +199,12 @@ def test_word_sweep_budget(monkeypatch, demo_matrix, demo_signs):
     enumerate_via_words(demo_matrix, demo_signs, 3)
 
 
-@pytest.mark.parametrize("n", [11, 10**8, 10**100])
+@pytest.mark.parametrize("n", [11, 10**8, 10**100, -1])
 def test_word_sweep_refuses_at_once(monkeypatch, demo_matrix, demo_signs, n):
+    # a tree over the budget, or a negative length, as the class sweeps do
     decisions = watch_admission(monkeypatch)
     start = time.perf_counter()
-    with pytest.raises(LimitExceededError):
+    with pytest.raises(LimitExceededError if n > 0 else ValueError, match="nodes|nonnegative"):
         enumerate_via_words(demo_matrix, demo_signs, n)
     assert time.perf_counter() - start < 0.25
     assert decisions == [False]
@@ -312,12 +309,7 @@ except TypeError:
 @pytest.mark.parametrize("n", ["2.5", "Fraction(5, 2)"])
 @pytest.mark.parametrize("search", ["enumerate_class", "counting_sequence", "enumerate_via_words"])
 def test_sweeps_refuse_non_integer_length(search, n):
-    src = Path(gridperms.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", NON_INTEGER_SWEEP.format(search=search, n=n)],
-        capture_output=True, text=True, timeout=4,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
+    proc = run_python("-c", NON_INTEGER_SWEEP.format(search=search, n=n), timeout=4)
     assert proc.returncode == 0, proc.stderr
     assert 0 <= float(proc.stdout) < 0.25
 
@@ -432,14 +424,11 @@ def test_word_images_match_class_small(demo_matrix, demo_signs):
 def test_word_images_insensitive_to_sign_choice():
     m = GridMatrix.parse("+ .\n+ -")
     signs = find_signs(m)
-    negated = SignAssignment(
-        tuple(-c for c in signs.col_signs), tuple(-r for r in signs.row_signs)
-    )
-    assert negated.verify(m)
+    assert negated(signs).verify(m)
     for n in range(5):
         reference = enumerate_class(m, n)
         assert enumerate_via_words(m, signs, n) == reference
-        assert enumerate_via_words(m, negated, n) == reference
+        assert enumerate_via_words(m, negated(signs), n) == reference
 
 
 def test_members_shrink_into_the_class(demo_matrix):
@@ -564,15 +553,13 @@ def test_hints_lift_each_witness_at_its_deleted_point():
 # The 1x4 is walked as its 4x1 transpose, as the sweeps walk it.
 @pytest.mark.parametrize("text", [DEMO_MATRIX_TEXT, M33_TEXT, "+ +\n+ +", "+\n+\n+\n+"])
 def test_class_walk_keeps_a_witness_for_every_member(text):
-    m = GridMatrix.parse(text)
-    if m.t < m.u:
-        m = _transpose(m)
+    m, _ = oriented(GridMatrix.parse(text))
     for members, *_ in _class_levels(m, 7):
         for entries, rows in members.items():
             # _witness's completion: the least columns for these rows
             cols = _least_rows(entries, m.columns, _bands(rows))
             assert cols is not None, entries
-            assert check_gridding(Permutation(entries), m, Gridding(cols, rows)), entries
+            assert valid_gridding(entries, m, cols, rows), entries
 
 
 @pytest.mark.parametrize("text, counts", [
@@ -607,8 +594,7 @@ def test_class_matches_factorial_filter_on_random_matrices(m):
 
 
 def test_class_matches_factorial_filter_on_all_2x2():
-    for entries in product((0, 1, -1), repeat=4):
-        m = GridMatrix((entries[:2], entries[2:]))
+    for m in all_matrices(2, 2):
         for n in range(6):
             assert enumerate_class(m, n) == filter_class(m, n), (m, n)
 
@@ -637,11 +623,11 @@ def test_column_axis_class_matches_factorial_filter(text, counts):
 # monotonicity, the up-down mirror reverses each column's rows and flips it,
 # and the diagonal mirror transposes the matrix and inverts pi.
 SYMMETRIES = {
-    "reverse": (lambda cols: [[-e for e in col] for col in reversed(cols)],
+    "reverse": (lambda m: GridMatrix([[-e for e in col] for col in reversed(m.columns)]),
                 lambda entries: entries[::-1]),
-    "complement": (lambda cols: [[-e for e in reversed(col)] for col in cols],
+    "complement": (lambda m: GridMatrix([[-e for e in reversed(col)] for col in m.columns]),
                    lambda entries: tuple(len(entries) + 1 - v for v in entries)),
-    "inverse": (lambda cols: list(zip(*cols)), _inverse),
+    "inverse": (transpose, inverse),
 }
 
 
@@ -657,7 +643,7 @@ def test_sweeps_commute_with_the_symmetries(m, name):
     # where both sweeps agree, on forests.  Shapes 1x1 to 3x3, so both walks
     # run upright and transposed.
     on_matrix, on_entries = SYMMETRIES[name]
-    image = GridMatrix(on_matrix(m.columns))
+    image = on_matrix(m)
     forest = is_forest(row_column_graph(m))
     for n in range(6):
         members = {Permutation(on_entries(pi.entries)) for pi in enumerate_class(m, n)}
@@ -682,11 +668,9 @@ def test_word_sweep_matches_every_word(text):
 @given(matrices().filter(lambda m: not has_negative_cycle(m)))
 @settings(max_examples=60, deadline=None)
 def test_word_sweep_matches_every_word_under_every_sign_assignment(m):
-    for signs in product((1, -1), repeat=m.t + m.u):
-        signs = SignAssignment(signs[:m.t], signs[m.t:])
-        if signs.verify(m):
-            for n in range(5):
-                assert enumerate_via_words(m, signs, n) == word_images(m, signs, n), (signs, n)
+    for signs in (SignAssignment(*pair) for pair in brute_sign_assignments(m)):
+        for n in range(5):
+            assert enumerate_via_words(m, signs, n) == word_images(m, signs, n), (signs, n)
 
 
 def test_normal_form_oracle_counts_the_traces():
@@ -868,12 +852,9 @@ def test_growth_ratio_near_squared_spectral_radius(text):
     # Bevan: the class grows like rho(G) ** 2 per length, where G is the
     # row-column graph.  By length 8 the ratio of consecutive counts lies
     # within 10% above that limit.
-    numpy = pytest.importorskip("numpy")
+    pytest.importorskip("numpy")
     m = GridMatrix.parse(text)
-    adjacency = numpy.zeros((m.t + m.u, m.t + m.u))
-    for k, l in m.nonzero_cells():
-        adjacency[k - 1, m.t + l - 1] = adjacency[m.t + l - 1, k - 1] = 1
-    rho_squared = max(numpy.linalg.eigvalsh(adjacency)) ** 2
+    rho_squared = squared_spectral_radius(m)
     counts = counting_sequence(m, 8)
     assert rho_squared <= counts[7] / counts[6] <= 1.1 * rho_squared
 
@@ -901,9 +882,6 @@ def test_counts_follow_a_rational_recurrence(text, fit, held_out, rho_squared):
     for n in range(9, len(counts)):
         assert sum(c * counts[n - i] for i, c in enumerate(coefficients, 1)) == counts[n]
     assert counts[9:] == held_out
-    adjacency = numpy.zeros((m.t + m.u, m.t + m.u))
-    for k, l in m.nonzero_cells():
-        adjacency[k - 1, m.t + l - 1] = adjacency[m.t + l - 1, k - 1] = 1
-    assert max(numpy.linalg.eigvalsh(adjacency)) ** 2 == pytest.approx(rho_squared, abs=1e-9)
+    assert squared_spectral_radius(m) == pytest.approx(rho_squared, abs=1e-9)
     root = max(numpy.roots([1, *(-float(c) for c in coefficients)]), key=abs)
     assert abs(root - rho_squared) < 1e-9

@@ -16,7 +16,9 @@ from gridperms import (
     row_column_graph,
 )
 
-from .oracles import brute_sign_assignments, cell_graph_edges, has_negative_simple_cycle
+from .oracles import (
+    all_matrices, brute_sign_assignments, cell_graph_edges, has_negative_simple_cycle,
+)
 from .strategies import matrices
 
 FOUR_CYCLE = [("x", 1), ("y", 1), ("x", 2), ("y", 2)]
@@ -77,8 +79,7 @@ def test_cell_graph_skips_nonadjacent_cells():
 def test_cell_graph_matches_brute_force_up_to_three_by_three():
     # all 21,297 matrices with at most three columns and three rows
     for t, u in product(range(1, 4), repeat=2):
-        for entries in product((0, 1, -1), repeat=t * u):
-            m = GridMatrix([entries[k * u:(k + 1) * u] for k in range(t)])
+        for m in all_matrices(t, u):
             g = cell_graph(m)
             assert g.vertices == m.nonzero_cells()
             assert g.labels == tuple(m.entry(k, l) for k, l in g.vertices)

@@ -14,9 +14,11 @@ from gridperms import (
     in_grid_class,
     pattern_of,
 )
-from gridperms.gridding import _bands, _division_sequences, _least_rows, _witness
+from gridperms.gridding import _bands, _least_rows, _witness
 
-from .oracles import brute_griddings, valid_gridding
+from .oracles import (
+    brute_griddings, division_sequences, inverse, oriented, transpose, valid_gridding,
+)
 from .strategies import matrices, permutations
 
 
@@ -197,15 +199,6 @@ def test_find_gridding_matches_brute_force(pi, m):
         assert check_gridding(pi, m, found)
 
 
-def inverse(pi):
-    indices = range(1, len(pi) + 1)
-    return Permutation(tuple(sorted(indices, key=lambda i: pi.entries[i - 1])))
-
-
-def transpose(m):
-    return GridMatrix(tuple(zip(*m.columns)))
-
-
 @given(permutations(max_n=6), matrices(max_t=3, max_u=3))
 @settings(max_examples=200, deadline=None)
 def test_in_grid_class_matches_brute_force(pi, m):
@@ -215,7 +208,7 @@ def test_in_grid_class_matches_brute_force(pi, m):
 @given(permutations(max_n=6), matrices(max_t=3, max_u=3))
 @settings(max_examples=200, deadline=None)
 def test_in_grid_class_transpose_identity(pi, m):
-    assert in_grid_class(pi, m) == in_grid_class(inverse(pi), transpose(m))
+    assert in_grid_class(pi, m) == in_grid_class(Permutation(inverse(pi)), transpose(m))
 
 
 @given(
@@ -255,10 +248,7 @@ def test_witness_hint_never_changes_the_answer(case):
     pi, m, hints = case
     # _witness searches rows of a matrix with t >= u; a matrix with fewer
     # columns than rows is searched as its transpose, with the inverse.
-    if m.t < m.u:
-        entries, searched = inverse(pi).entries, transpose(m)
-    else:
-        entries, searched = pi.entries, m
+    searched, entries = oriented(m, pi)
     found, _ = _witness(entries, searched, iter([(h, _bands(h)) for h in hints]))
     assert (found is not None) == in_grid_class(pi, m)
     if found is not None:
@@ -267,7 +257,7 @@ def test_witness_hint_never_changes_the_answer(case):
         rows, cols = found, _least_rows(entries, searched.columns, _bands(found))
         if m.t < m.u:
             rows, cols = cols, rows
-        assert check_gridding(pi, m, Gridding(cols, rows))
+        assert valid_gridding(pi, m, cols, rows)
 
 
 @given(hinted_searches())
@@ -276,12 +266,9 @@ def test_witness_counts_the_divisions_it_tries(case):
     # the hints, then every division, up to and including the first that
     # completes; all of them when none does
     pi, m, hints = case
-    if m.t < m.u:
-        entries, searched = inverse(pi).entries, transpose(m)
-    else:
-        entries, searched = pi.entries, m
+    searched, entries = oriented(m, pi)
     found, tried = _witness(entries, searched, iter([(h, _bands(h)) for h in hints]))
-    order = hints + list(_division_sequences(len(pi), searched.u))
+    order = hints + list(division_sequences(len(pi), searched.u))
     assert tried == (len(order) if found is None else order.index(found) + 1)
 
 
@@ -290,11 +277,11 @@ def test_witness_counts_the_divisions_it_tries(case):
 def test_least_rows_give_the_least_gridding(pi, m):
     # The first column division the threshold kernel accepts, with its rows,
     # is the lexicographically least gridding.
-    index_of, matrix_rows = inverse(pi).entries, transpose(m).columns
+    index_of, matrix_rows = inverse(pi), transpose(m).columns
     first = next(
         (
             (cols, rows)
-            for cols in _division_sequences(len(pi), m.t)
+            for cols in division_sequences(len(pi), m.t)
             if (rows := _least_rows(index_of, matrix_rows, _bands(cols))) is not None
         ),
         None,
