@@ -129,22 +129,18 @@ def _extend(entries: bytes, index: int, value: int) -> bytes:
     """The entries ``_spell`` gives for a word with one more letter, as bytes,
     given what it gives for the word and the new entry's index and value:
     values at or above it move up one, in one C-level translation, and the
-    value is spliced in at the index.  Bytes hold values up to 255.  Its
-    divisions grow where a caller needs them."""
+    value is spliced in at the index.  Bytes hold values up to 255.  The
+    divisions grow by _grow, one band at a time."""
     bump, byte = _BUMP[value]
     grown = entries.translate(bump)
     return grown[:index - 1] + byte + grown[index - 1:]
 
 
-def _grow(divisions: tuple[int, ...], *bands: int) -> tuple[int, ...]:
-    """The column (or row) divisions ``_spell`` gives for a word with letters
-    in these columns (or rows) appended, given what it gives for the word:
-    each grows those after its band by one, and one past the last none."""
-    grown = list(divisions)
-    for band in bands:
-        for j in range(band, len(grown)):
-            grown[j] += 1
-    return tuple(grown)
+def _grow(divisions: tuple[int, ...], band: int) -> tuple[int, ...]:
+    """The column (or row) divisions ``_spell`` gives for a word with a letter
+    in this column (or row) appended, given what it gives for the word: those
+    after the band grow by one, and one past the last none."""
+    return divisions[:band] + tuple([d + 1 for d in divisions[band:]])
 
 
 def subword_leq(v: Word, w: Word) -> bool:

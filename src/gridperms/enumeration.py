@@ -22,16 +22,15 @@ changing the encoded gridded permutation, so one word per commutation class
 suffices.  A mask of the letters barred after each prefix admits a letter in
 one test.  Spellings ride the stack as bytes: each normal form carries its
 entries as a ``bytes`` string and its divisions, so each one is its
-parent's with one C-level insertion, and the length-(n-1) and length-n ones
-are placed at their grandparent's divisions.  Bytes hold values up to 255,
-which admission guarantees for two or more letters; an alphabet of at most
-one letter, or a length n <= 1, has one word, which goes through ``encode``
-itself.  Each distinct image is checked once, with ``check_gridding``'s cell
-rule, when first spelled: only then are its divisions grown and banded, once
-per distinct division, and its ``Permutation`` built.  The walk reports the
-normal forms it spelled at each length, one per trace.  For matrices whose
-row-column graph is a forest the two agree; comparing them is the main
-cross-check this module exists for.
+parent's with one C-level insertion and one band grown per division.  Bytes
+hold values up to 255, so two or more letters are refused past length 255;
+an alphabet of at most one letter, or a length n <= 1, has one word, which
+goes through ``encode`` itself.  Each distinct image is checked once, with
+``check_gridding``'s cell rule, when first spelled: only then are its
+divisions grown and banded, once per distinct division, and its
+``Permutation`` built.  The walk reports the normal forms it spelled at each
+length, one per trace.  For matrices whose row-column graph is a forest the
+two agree; comparing them is the main cross-check this module exists for.
 Both draw on ``gridding.SEARCH_BUDGET``: the word sweep counts |alphabet| ** k
 words at depth k before any work, and the class sweeps orient and admit
 their longest candidate's search through ``_upright``, as ``in_grid_class``
@@ -184,7 +183,8 @@ def enumerate_via_words(
     (_word_images); the image set is that of all |alphabet| ** n words.
     With at most one letter, or n <= 1, every word spells the same entries,
     so one goes through ``encode`` itself.  Signs that do not match the
-    matrix, and lengths whose word tree is over the search budget, are
+    matrix, lengths whose word tree is over the search budget, and, with two
+    or more letters, lengths past the 255 values a spelling's bytes hold are
     refused before any work.
     """
     _check_signs(matrix, signs)
@@ -194,6 +194,9 @@ def enumerate_via_words(
         if n and not letters:
             return set()
         return {encode(matrix, signs, letters[:1] * n).perm}
+    if n > 255:
+        raise gridding.LimitExceededError(
+            f"a length-{n} word sweep stops at length 256: its spellings hold values up to 255")
     images, _ = _word_images(matrix, signs, letters, n)
     return set(images.values())
 
@@ -206,16 +209,14 @@ def _word_images(
     length k = 0..n the normal forms spelled, one per trace (Cartier-Foata).
 
     Masks admit each next letter in one test (_trace_masks).  Each normal
-    form's spelling rides the stack, its entries as bytes and its divisions:
-    a child is its parent's entries with one _extend at its letter's _slots
-    and its divisions grown in one band each (_grow, cached per call).  A
-    length-(n - 1) one keeps its last letter (k', l') instead, and each leaf
-    is one more _extend, at the grandparent's divisions plus one at or past
-    k' or l'.  Only a new image's divisions are grown and banded (once per
-    division) and checked with the cell rule before the image is built.
-    Bytes hold values up to 255, which admission guarantees for two or more
-    letters: a length-n word tree then has at least 2 ** (n + 1) - 1 nodes,
-    so n <= 20 under today's budget.
+    form's spelling rides the stack, its entries as bytes and its divisions,
+    and each popped one runs one loop over the letters its mask admits: a
+    child is its parent's entries with one _extend at its letter's _slots.
+    Below length n it is pushed with its divisions grown in one band each
+    (_grow, cached per call); at length n only a new image's divisions are
+    grown and banded (once per division) and checked with the cell rule
+    before the image is built.  Bytes hold values up to 255, so callers
+    refuse longer words.
     """
     masks = [(letter, *_slots(letter, signs), *rest) for letter, *rest in _trace_masks(letters)]
     images: dict[bytes, Permutation] = {}
@@ -226,31 +227,21 @@ def _word_images(
     stack = [(b"", (1,) * (matrix.t + 1), (1,) * (matrix.u + 1), 0, 0)]
     while stack:
         entries, cols, rows, depth, blocked = stack.pop()
-        if depth < n - 2:
-            depth += 1
-            children = [(_extend(entries, cols[i], rows[v]), grow(cols, k), grow(rows, l), depth,
-                         (blocked | below) & commute)
-                        for (k, l), i, v, bit, below, commute in masks if not blocked & bit]
-            spelled[depth] += len(children)
-            stack += children
-            continue
-        # the length-(n - 1) normal forms with their last letters
-        prefixes = [(_extend(entries, cols[i], rows[v]), letter, (blocked | below) & commute)
-                    for letter, i, v, bit, below, commute in masks if not blocked & bit]
-        spelled[n - 1] += len(prefixes)
-        for prefix, (k, l), after in prefixes:
-            spelled[n] += len(masks) - after.bit_count()  # one leaf per letter not barred
-            for (x, y), i, v, bit, _, _ in masks:
-                if after & bit:
-                    continue
-                # the prefix's divisions: its letter grew those from slots k and l on
-                leaf = _extend(prefix, cols[i] + (i >= k), rows[v] + (v >= l))
-                if leaf not in images:
-                    leaf_cols, leaf_rows = grow(cols, k, x), grow(rows, l, y)
-                    if not _bands_valid(leaf, matrix.columns, band(leaf_rows), leaf_cols):
-                        raise ValueError(
-                            f"{tuple(leaf)} has no valid gridding {leaf_cols} x {leaf_rows}")
-                    images[leaf] = Permutation(leaf)
+        depth += 1
+        spelled[depth] += len(masks) - blocked.bit_count()  # one child per letter not barred
+        for (k, l), i, v, bit, below, commute in masks:
+            if blocked & bit:
+                continue
+            child = _extend(entries, cols[i], rows[v])
+            if depth < n:
+                after = (blocked | below) & commute
+                stack.append((child, grow(cols, k), grow(rows, l), depth, after))
+            elif child not in images:
+                child_cols, child_rows = grow(cols, k), grow(rows, l)
+                if not _bands_valid(child, matrix.columns, band(child_rows), child_cols):
+                    raise ValueError(
+                        f"{tuple(child)} has no valid gridding {child_cols} x {child_rows}")
+                images[child] = Permutation(child)
     return images, spelled
 
 
