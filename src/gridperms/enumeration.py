@@ -44,7 +44,7 @@ from functools import cache
 from . import gridding
 from .codec import _RANGE, Letter, _check_signs, _extend, _grow, _slots, encode
 from .graphs import SignAssignment
-from .gridding import _admit, _bands, _bands_valid, _upright, _witness
+from .gridding import _bands, _bands_valid, _upright, _witness
 from .matrices import GridMatrix
 from .perms import Permutation
 
@@ -189,7 +189,7 @@ def enumerate_via_words(
     """
     _check_signs(matrix, signs)
     letters = matrix.nonzero_cells()
-    _admit(n, [(len(letters), n)])
+    gridding._admit(n, [(len(letters), n)])
     if len(letters) < 2 or n < 2:  # every word spells the same entries
         if n and not letters:
             return set()

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from gridperms import GridMatrix, alphabet
 from gridperms.cli import cmd_encode, main
 
-from .conftest import DEMO_MATRIX_TEXT, run_python
+from .conftest import DEMO_MATRIX_TEXT as DEMO, run_python
 from .oracles import all_matrices, brute_sign_assignments
 from .strategies import permutations
 
@@ -23,7 +23,7 @@ from .strategies import permutations
 @pytest.fixture
 def demo_file(tmp_path):
     path = tmp_path / "demo.txt"
-    path.write_text(DEMO_MATRIX_TEXT + "\n")
+    path.write_text(DEMO + "\n")
     return str(path)
 
 
@@ -53,48 +53,10 @@ def test_signs_negative_cycle(capsys, tmp_path):
     assert lines[1] == "cycle: x1 y1 x2 y2"
 
 
-def test_signs_zero_matrix(capsys, tmp_path):
-    path = write_matrix(tmp_path, ". .\n. .")
-    assert run(capsys, "signs", path) == (0, "col_signs=1,1 row_signs=1,1")
-
-
 def test_member_found(capsys, demo_file):
     code, out = run(capsys, "member", demo_file, "136854792")
     assert code == 0
     assert out == "cols=1,3,5,10 rows=1,5,10"
-
-
-def test_member_not_a_member(capsys, tmp_path):
-    path = write_matrix(tmp_path, "+")
-    assert run(capsys, "member", path, "21") == (1, "NOT-A-MEMBER")
-
-
-def test_member_decreasing_cell(capsys, tmp_path):
-    path = write_matrix(tmp_path, "-")
-    assert run(capsys, "member", path, "321") == (0, "cols=1,4 rows=1,4")
-
-
-def test_matrix_file_may_start_with_a_byte_order_mark(capsys, tmp_path, demo_file):
-    bom_file = tmp_path / "demo-bom.txt"
-    bom_file.write_bytes(b"\xef\xbb\xbf" + Path(demo_file).read_bytes())
-    for argv in (["signs"], ["member", "136854792"], ["count", "4"]):
-        expected = run(capsys, argv[0], demo_file, *argv[1:])
-        assert expected[0] == 0
-        assert run(capsys, argv[0], str(bom_file), *argv[1:]) == expected
-
-
-def test_grid_check(capsys, demo_file):
-    ok = run(capsys, "grid-check", demo_file, "136854792", "cols=1,3,5,10", "rows=1,6,10")
-    assert ok == (0, "VALID")
-    bad = run(capsys, "grid-check", demo_file, "136854792", "cols=1,2,5,10", "rows=1,6,10")
-    assert bad == (1, "INVALID")
-
-
-def test_member_output_feeds_grid_check(capsys, demo_file):
-    code, out = run(capsys, "member", demo_file, "136854792")
-    assert code == 0
-    code, verdict = run(capsys, "grid-check", demo_file, "136854792", *out.split())
-    assert (code, verdict) == (0, "VALID")
 
 
 def test_encode_with_sign_overrides(capsys, demo_file):
@@ -108,6 +70,26 @@ def test_encode_with_sign_overrides(capsys, demo_file):
     )
     assert code == 0
     assert out == "136854792 cols=1,3,5,10 rows=1,6,10"
+
+
+def test_enum_members(capsys, demo_file):
+    assert run(capsys, "enum", demo_file, "2") == (0, "12\n21")
+
+
+def test_matrix_file_may_start_with_a_byte_order_mark(capsys, tmp_path, demo_file):
+    bom_file = tmp_path / "demo-bom.txt"
+    bom_file.write_bytes(b"\xef\xbb\xbf" + Path(demo_file).read_bytes())
+    for argv in (["signs"], ["member", "136854792"], ["count", "4"]):
+        expected = run(capsys, argv[0], demo_file, *argv[1:])
+        assert expected[0] == 0
+        assert run(capsys, argv[0], str(bom_file), *argv[1:]) == expected
+
+
+def test_member_output_feeds_grid_check(capsys, demo_file):
+    code, out = run(capsys, "member", demo_file, "136854792")
+    assert code == 0
+    code, verdict = run(capsys, "grid-check", demo_file, "136854792", *out.split())
+    assert (code, verdict) == (0, "VALID")
 
 
 def test_encode_with_one_sign_flag(capsys, demo_file):
@@ -147,12 +129,6 @@ def test_one_sign_flag_gives_the_output_of_both():
     assert cases == 3036
 
 
-def test_encode_empty_word(capsys, demo_file):
-    code, out = run(capsys, "encode", demo_file)
-    assert code == 0
-    assert out == "empty cols=1,1,1,1 rows=1,1,1"
-
-
 def test_decode_then_encode_round_trip(capsys, demo_file):
     code, word = run(
         capsys,
@@ -184,12 +160,6 @@ def test_decode_default_signs_round_trip(capsys, demo_file):
     code, out = run(capsys, "encode", demo_file, *word.split())
     assert code == 0
     assert out == "136854792 cols=1,3,5,10 rows=1,6,10"
-
-
-def test_decode_inconsistent_orders(capsys, tmp_path):
-    path = write_matrix(tmp_path, "+ +\n+ +")
-    code, out = run(capsys, "decode", path, "4123", "cols=1,3,5", "rows=1,3,5")
-    assert (code, out) == (1, "INCONSISTENT-ORDERS")
 
 
 def test_decode_inconsistent_orders_without_asserts(tmp_path):
@@ -252,47 +222,53 @@ def test_codec_reports_negative_cycle(capsys, tmp_path, argv):
     assert cycle == "cycle: " + " ".join(payload["cycle"])
 
 
-def test_enum_members(capsys, demo_file):
-    assert run(capsys, "enum", demo_file, "2") == (0, "12\n21")
+GRIDDED = "136854792 cols=1,3,5,10 rows=1,6,10"
+MISGRIDDED = "136854792 cols=1,2,5,10 rows=1,6,10"
+CROSSED = "4123 cols=1,3,5 rows=1,3,5"  # INCONSISTENT-ORDERS under "+ +" over "+ +"
+SIGN_FLAGS = "--col-signs=-1,1,1 --row-signs=-1,1"
+# One subcommand call per row, beside the README's session below: the matrix
+# written to m.txt, the command line, the exit code, and stdout as text or,
+# under --json, as the payload.
+CLI_CASES = {
+    "signs_zero_matrix": (". .\n. .", "signs m.txt", 0, "col_signs=1,1 row_signs=1,1"),
+    "member_not_a_member": ("+", "member m.txt 21", 1, "NOT-A-MEMBER"),
+    "member_decreasing_cell": ("-", "member m.txt 321", 0, "cols=1,4 rows=1,4"),
+    "grid_check_invalid": (DEMO, f"grid-check m.txt {MISGRIDDED}", 1, "INVALID"),
+    "encode_empty_word": (DEMO, "encode m.txt", 0, "empty cols=1,1,1,1 rows=1,1,1"),
+    "encode_letter_outside_alphabet": (DEMO, "encode m.txt 1,2", 2, ""),
+    "decode_inconsistent_orders": ("+ +\n+ +", f"decode m.txt {CROSSED}", 1, "INCONSISTENT-ORDERS"),
+    "count_one_row": ("+ +", "count m.txt 3", 0, "1,2,5"),
+    "count_one_cell": ("+", "count m.txt 5", 0, "1,1,1,1,1"),
+    "graph_cell": (DEMO, "graph m.txt --cell", 0, "1,1 3,1\n2,2 3,2\n3,1 3,2"),
+    "json_signs": (DEMO, "--json signs m.txt", 0, {"col_signs": [1, -1, -1], "row_signs": [1, -1]}),
+    "json_member": (DEMO, "--json member m.txt 136854792", 0,
+                    {"perm": "136854792", "cols": [1, 3, 5, 10], "rows": [1, 5, 10]}),
+    "json_member_not_a_member": ("+", "--json member m.txt 21", 1, {"error": "NOT-A-MEMBER"}),
+    "json_grid_check_valid": (DEMO, f"--json grid-check m.txt {GRIDDED}", 0, {"valid": True}),
+    "json_grid_check_invalid": (DEMO, f"--json grid-check m.txt {MISGRIDDED}", 1, {"valid": False}),
+    "json_encode": (DEMO, f"--json encode m.txt 3,1 3,1 2,2 3,2 1,1 2,2 3,2 3,1 1,1 {SIGN_FLAGS}",
+                    0, {"perm": "136854792", "cols": [1, 3, 5, 10], "rows": [1, 6, 10]}),
+    "json_decode": (DEMO, f"--json decode m.txt {GRIDDED} {SIGN_FLAGS}", 0,
+                    {"word": "2,2 3,1 3,1 1,1 3,2 2,2 3,2 3,1 1,1"}),
+    "json_decode_inconsistent_orders": ("+ +\n+ +", f"--json decode m.txt {CROSSED}", 1,
+                                        {"error": "INCONSISTENT-ORDERS"}),
+    "json_enum": (DEMO, "--json enum m.txt 2", 0, {"n": 2, "perms": ["12", "21"]}),
+    "json_count": (DEMO, "--json count m.txt 2", 0, {"counts": [1, 2]}),
+    "json_graph": (DEMO, "--json graph m.txt", 0, {
+        "graph": "row-column", "vertices": ["x1", "x2", "x3", "y1", "y2"],
+        "edges": [["x1", "y1", 1], ["x2", "y2", 1], ["x3", "y1", -1], ["x3", "y2", 1]]}),
+    "json_graph_cell": (DEMO, "--json graph m.txt --cell", 0, {
+        "graph": "cell", "vertices": ["1,1", "2,2", "3,1", "3,2"],
+        "edges": [["1,1", "3,1"], ["2,2", "3,2"], ["3,1", "3,2"]]}),
+}
 
 
-def test_count_sequences(capsys, tmp_path):
-    one_row = write_matrix(tmp_path, "+ +")
-    assert run(capsys, "count", one_row, "3") == (0, "1,2,5")
-    single = write_matrix(tmp_path, "+")
-    assert run(capsys, "count", single, "5") == (0, "1,1,1,1,1")
-
-
-def test_graph_edge_lists(capsys, demo_file):
-    code, out = run(capsys, "graph", demo_file)
-    assert code == 0
-    assert out.splitlines() == ["x1 y1 +", "x2 y2 +", "x3 y1 -", "x3 y2 +"]
-    code, out = run(capsys, "graph", demo_file, "--cell")
-    assert code == 0
-    assert out.splitlines() == ["1,1 3,1", "2,2 3,2", "3,1 3,2"]
-
-
-def test_json_outputs(capsys, demo_file):
-    code, out = run(capsys, "--json", "member", demo_file, "136854792")
-    assert code == 0
-    assert json.loads(out) == {
-        "perm": "136854792",
-        "cols": [1, 3, 5, 10],
-        "rows": [1, 5, 10],
-    }
-    code, out = run(capsys, "--json", "signs", demo_file)
-    assert json.loads(out) == {"col_signs": [1, -1, -1], "row_signs": [1, -1]}
-    code, out = run(
-        capsys, "--json", "decode", demo_file, "136854792", "cols=1,3,5,10",
-        "rows=1,6,10", "--col-signs=-1,1,1", "--row-signs=-1,1",
-    )
-    assert json.loads(out) == {"word": "2,2 3,1 3,1 1,1 3,2 2,2 3,2 3,1 1,1"}
-    code, out = run(capsys, "--json", "count", demo_file, "2")
-    assert json.loads(out) == {"counts": [1, 2]}
-    code, out = run(capsys, "--json", "graph", demo_file, "--cell")
-    payload = json.loads(out)
-    assert payload["graph"] == "cell"
-    assert ["3,1", "3,2"] in payload["edges"]
+@pytest.mark.parametrize("text, command, code, expected", CLI_CASES.values(), ids=CLI_CASES)
+def test_cli_answers(capsys, tmp_path, monkeypatch, text, command, code, expected):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.txt").write_text(text + "\n")
+    answer, out = run(capsys, *command.split())
+    assert (answer, out if isinstance(expected, str) else json.loads(out)) == (code, expected)
 
 
 def readme_cli_session():
@@ -312,12 +288,16 @@ def readme_cli_session():
     return steps
 
 
+NEGATIVE_ANSWERS = {"NOT-A-MEMBER", "NOT-PARTIAL-MULTIPLICATION", "INVALID", "INCONSISTENT-ORDERS"}
+
+
 def test_readme_cli_session(capsys, tmp_path, monkeypatch):
+    # each command exits 1 when it prints a negative answer and 0 otherwise
     def lines(output):
         return "".join(line + "\n" for line in output)
 
     monkeypatch.chdir(tmp_path)
-    subcommands = set()
+    commands = []
     for command, output in readme_cli_session():
         argv = shlex.split(command)
         if argv[0] == "cat":
@@ -327,11 +307,12 @@ def test_readme_cli_session(capsys, tmp_path, monkeypatch):
             (tmp_path / argv[4]).write_text(argv[2].replace("\\n", "\n"))
         else:
             assert argv[0] == "gridperms"
-            main(argv[1:])
-            assert capsys.readouterr().out == lines(output), command
-            subcommands.add(argv[1])
-    assert subcommands == {"signs", "member", "grid-check", "encode", "decode",
-                           "enum", "count", "graph"}
+            commands.append((argv[1:], output))
+    for argv, output in commands:
+        code = int(output[0] in NEGATIVE_ANSWERS)
+        assert (main(argv), capsys.readouterr().out) == (code, lines(output)), argv
+    assert {argv[0] for argv, _ in commands} == {
+        "signs", "member", "grid-check", "encode", "decode", "enum", "count", "graph"}
 
 
 def test_usage_errors_exit_two(capsys, tmp_path, demo_file):
@@ -414,11 +395,6 @@ def test_lengths_follow_the_integer_grammar(capsys, demo_file, command, text):
     captured = capsys.readouterr()
     assert captured.out == json.dumps({"error": "BAD-INPUT", "message": message}) + "\n"
     assert captured.err == ""
-
-
-def test_encode_rejects_letters_outside_alphabet(capsys, demo_file):
-    assert main(["encode", demo_file, "1,2"]) == 2
-    capsys.readouterr()
 
 
 MATRIX_TOKENS = [".", "+", "-", "0", "1", "-1"]

@@ -90,8 +90,8 @@ class Admitted(Exception):
 
 
 def watch_admission(monkeypatch):
-    """Wrap _admit where the searches call it, and give the list of its
-    decisions: True for each admission, which then raises Admitted, and
+    """Wrap gridding._admit, which every search calls, and give the list of
+    its decisions: True for each admission, which then raises Admitted, and
     False for each refusal, which raises as _admit does."""
     decisions, admit = [], gridperms.gridding._admit
 
@@ -104,37 +104,8 @@ def watch_admission(monkeypatch):
         decisions.append(True)
         raise Admitted
 
-    for module in ("gridperms.gridding", "gridperms.enumeration"):
-        monkeypatch.setattr(f"{module}._admit", watched)
+    monkeypatch.setattr("gridperms.gridding._admit", watched)
     return decisions
-
-
-def refuses_before_any_work(monkeypatch, sweep):
-    # in_grid_class's rule on a length-n search of "+", and of its
-    # transpose "+" over "+", which is walked as "+": 1 + 1 + n nodes
-    decisions = watch_admission(monkeypatch)
-    for text in ("+", "+\n+"):
-        for n in (3_000_000, 10**100):
-            start = time.perf_counter()
-            with pytest.raises(LimitExceededError, match="search .* nodes"):
-                sweep(GridMatrix.parse(text), n)
-            assert time.perf_counter() - start < 0.25, (text, n)
-        with pytest.raises(ValueError, match="nonnegative"):
-            sweep(GridMatrix.parse(text), -1)
-    assert decisions == [False] * 6
-
-
-def test_counting_sequence_refuses_before_any_work(monkeypatch):
-    refuses_before_any_work(monkeypatch, counting_sequence)
-
-
-def test_enumerate_class_refuses_before_any_work(monkeypatch):
-    refuses_before_any_work(monkeypatch, enumerate_class)
-
-
-def test_counting_sequence_refuses_negative_length():
-    with pytest.raises(ValueError):
-        counting_sequence(GridMatrix.parse("+"), -1)
 
 
 def _walk_steps(m, n_max):
@@ -199,17 +170,6 @@ def test_word_sweep_budget(monkeypatch, demo_matrix, demo_signs):
     enumerate_via_words(demo_matrix, demo_signs, 3)
 
 
-@pytest.mark.parametrize("n", [11, 10**8, 10**100, -1])
-def test_word_sweep_refuses_at_once(monkeypatch, demo_matrix, demo_signs, n):
-    # a tree over the budget, or a negative length, as the class sweeps do
-    decisions = watch_admission(monkeypatch)
-    start = time.perf_counter()
-    with pytest.raises(LimitExceededError if n > 0 else ValueError, match="nodes|nonnegative"):
-        enumerate_via_words(demo_matrix, demo_signs, n)
-    assert time.perf_counter() - start < 0.25
-    assert decisions == [False]
-
-
 def test_word_sweep_refuses_past_the_byte_range(monkeypatch):
     # Spellings are bytes, which hold values up to 255: the default budget
     # refuses two letters at length 21, and a larger one admits length 256,
@@ -254,10 +214,11 @@ SEARCHES = {
 # search: C divisions of the axis with p = min(t, u) parts, C = C(n + p - 1,
 # p - 1), each one pass of n steps, so a matrix and its transpose are
 # admitted alike).  The class sweeps also meter their walk after admission.
+# A negative length is refused by the same call, as a ValueError.
 @pytest.mark.parametrize("search, text, admitted, refused", [
-    ("enumerate_class", "+", [2_999_998], [2_999_999, 10**100]),
-    ("counting_sequence", "+", [2_999_998], [2_999_999, 10**100]),
-    ("enumerate_via_words", DEMO_MATRIX_TEXT, [10], [11]),
+    ("enumerate_class", "+", [2_999_998], [2_999_999, 3_000_000, 10**100, -1]),
+    ("counting_sequence", "+", [2_999_998], [2_999_999, 3_000_000, 10**100, -1]),
+    ("enumerate_via_words", DEMO_MATRIX_TEXT, [10], [11, 10**8, 10**100, -1]),
     ("enumerate_via_words", "+ +\n+ +", [10], [11]),
     ("enumerate_via_words", M33_TEXT, [9], [10]),
     ("enumerate_via_words", "+ .\n+ -", [13], [14]),
@@ -280,6 +241,9 @@ SEARCHES = {
     ("counting_sequence", "- +\n. +\n+ .", [1731], [1732]),
     ("enumerate_class", "- +\n. +\n+ .", [1731], [1732]),
     ("in_grid_class", "- +\n. +\n+ .", [1731], [1732]),
+    # "+" over "+" is walked as "+"
+    ("enumerate_class", "+\n+", [2_999_998], [2_999_999, 3_000_000, 10**100, -1]),
+    ("counting_sequence", "+\n+", [2_999_998], [2_999_999, 3_000_000, 10**100, -1]),
 ])
 def test_search_admission_edges(monkeypatch, search, text, admitted, refused):
     decisions = watch_admission(monkeypatch)
@@ -289,8 +253,9 @@ def test_search_admission_edges(monkeypatch, search, text, admitted, refused):
             SEARCHES[search](matrix, n)()
     for n in refused:
         run = SEARCHES[search](matrix, n)
+        refusal = (LimitExceededError, "search .* nodes") if n >= 0 else (ValueError, "nonnegative")
         start = time.perf_counter()
-        with pytest.raises(LimitExceededError, match="search .* nodes"):
+        with pytest.raises(refusal[0], match=refusal[1]):
             run()
         assert time.perf_counter() - start < 0.25, n
     assert decisions == [True] * len(admitted) + [False] * len(refused)
