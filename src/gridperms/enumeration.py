@@ -154,8 +154,12 @@ def enumerate_class(matrix: GridMatrix, n: int) -> set[Permutation]:
     """All length-n members of the matrix's grid class.
 
     Grows the class length by length through one-point insertions, so the
-    gridding search sees at most n times the previous level.  Admitted and
-    metered by the search budget as _class_levels describes.
+    gridding search sees at most n times the previous level.  Raises
+    LimitExceededError before any work when the search for a length-n
+    candidate is over SEARCH_BUDGET, and after bounded work when the walk's
+    steps pass SEARCH_BUDGET or it reaches length 256, past the 255 values
+    its byte spellings hold.  A negative n raises ValueError and a
+    non-integer n TypeError.
     """
     upright, orient = _upright(n, matrix)
     *_, (members, *_) = _class_levels(upright, n)
@@ -248,8 +252,12 @@ def _word_images(
 def counting_sequence(matrix: GridMatrix, n_max: int) -> tuple[int, ...]:
     """Class sizes at lengths 1..n_max.
 
-    One walk of the insertion tree gives every length, limited as in
-    enumerate_class; the lengths after the walk's last level count 0.
+    One walk of the insertion tree gives every length; the lengths after the
+    walk's last level count 0.  Raises LimitExceededError before any work
+    when the search for a length-n_max candidate is over SEARCH_BUDGET, and
+    after bounded work when the walk's steps pass SEARCH_BUDGET or it
+    reaches length 256, past the 255 values its byte spellings hold.  A
+    negative n_max raises ValueError and a non-integer n_max TypeError.
 
     >>> counting_sequence(GridMatrix.parse("+ +"), 3)
     (1, 2, 5)

@@ -42,7 +42,8 @@ SEARCH_BUDGET = 3 * 10**6
 
 
 class LimitExceededError(Exception):
-    """The requested search is larger than SEARCH_BUDGET allows."""
+    """The requested search is larger than SEARCH_BUDGET allows, or a sweep
+    would pass the 255 values its byte spellings hold."""
 
 
 def _admit(n: int, runs: Iterable[tuple[int, int]]) -> None:
@@ -307,8 +308,10 @@ def _upright(n: int, matrix: GridMatrix) -> tuple[GridMatrix, Callable]:
 
 
 def in_grid_class(pi: Permutation, matrix: GridMatrix) -> bool:
-    """Whether pi has any valid gridding for the matrix, which _upright
-    orients for _witness.
+    """Whether pi has any valid gridding for the matrix.
+
+    Raises LimitExceededError before any work when the search for pi's
+    length is over SEARCH_BUDGET.
 
     >>> m = GridMatrix.parse("- +\\n. +\\n+ .")
     >>> in_grid_class(Permutation((3, 1, 4, 2)), m)

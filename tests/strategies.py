@@ -1,7 +1,7 @@
 """Hypothesis strategies shared across test modules."""
 from hypothesis import strategies as st
 
-from gridperms import GridMatrix, Permutation, alphabet
+from gridperms import GridMatrix, Permutation, alphabet, find_signs, has_negative_cycle
 
 
 @st.composite
@@ -22,6 +22,13 @@ def matrices(draw, max_t=3, max_u=3):
         )
     )
     return GridMatrix(tuple(tuple(column) for column in columns))
+
+
+@st.composite
+def signed_matrices(draw):
+    """A matrix with no negative cycle, with find_signs' assignment."""
+    m = draw(matrices().filter(lambda m: not has_negative_cycle(m)))
+    return m, find_signs(m)
 
 
 @st.composite

@@ -18,7 +18,6 @@ from gridperms import (
     encode,
     find_signs,
     format_word,
-    has_negative_cycle,
     parse_word,
     pattern_of,
     row_col_orders,
@@ -36,7 +35,7 @@ from .oracles import (
     negated,
     spell_by_insertion,
 )
-from .strategies import matrices, words_over
+from .strategies import signed_matrices, words_over
 
 DEMO = GridMatrix.parse(DEMO_MATRIX_TEXT)
 ONE_ROW = GridMatrix.parse("+ +")
@@ -131,11 +130,9 @@ def test_encode_cells_and_counts(data):
 def test_extend_spells_the_word_with_its_last_letter(data):
     # the word sweep's leaves: one insertion into the spelling of the prefix,
     # at its divisions' slots for the last letter, whose column and row grow
-    m = data.draw(matrices())
-    assume(not has_negative_cycle(m))
+    m, signs = data.draw(signed_matrices())
     word = data.draw(words_over(m))
     assume(word)
-    signs = find_signs(m)
     for s in (signs, negated(signs)):
         (entries, cols, rows), (k, l) = _spell(word[:-1], s), word[-1]
         i, v = _slots(word[-1], s)
@@ -157,10 +154,8 @@ def test_extend_reaches_the_top_of_the_byte_range(text, signs):
 @settings(max_examples=200, deadline=None)
 def test_encode_matches_spelling_by_insertion(data):
     # encode's exact entries and divisions, against the definition
-    m = data.draw(matrices())
-    assume(not has_negative_cycle(m))
+    m, signs = data.draw(signed_matrices())
     word = data.draw(words_over(m))
-    signs = find_signs(m)
     for s in (signs, negated(signs)):
         gp = encode(m, s, word)
         spelled = spell_by_insertion(m, s.col_signs, s.row_signs, word)
@@ -197,11 +192,9 @@ def test_kept_letters_witness_the_subword(data):
     # The paper's lemma: a subword v of w encodes to a pattern of encode(w),
     # witnessed at the points of the letters v keeps.  It needs only signs,
     # so every matrix without a negative cycle qualifies, forest or not.
-    m = data.draw(matrices())
-    assume(not has_negative_cycle(m))
+    m, signs = data.draw(signed_matrices())
     word = data.draw(words_over(m, max_len=30))
     keep = data.draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
-    signs = find_signs(m)
     for s in (signs, negated(signs)):
         big = encode(m, s, word).perm
         small = encode(m, s, tuple(letter for letter, kept in zip(word, keep) if kept)).perm

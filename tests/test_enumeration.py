@@ -21,7 +21,6 @@ from gridperms import (
     enumerate_via_words,
     find_gridding,
     find_signs,
-    has_negative_cycle,
     in_grid_class,
     is_forest,
     pattern_of,
@@ -37,7 +36,7 @@ from .oracles import (
     is_normal_form, negated, oriented, recurrence, squared_spectral_radius, trace_counts,
     transpose, valid_gridding, word_images,
 )
-from .strategies import matrices, words_over
+from .strategies import matrices, signed_matrices, words_over
 
 ONE_ROW = GridMatrix.parse("+ +")
 
@@ -176,7 +175,8 @@ def test_word_sweep_refuses_past_the_byte_range(monkeypatch):
     # which the sweep then refuses by name before any work.
     monkeypatch.setattr("gridperms.gridding.SEARCH_BUDGET", 10**200)
     start = time.perf_counter()
-    with pytest.raises(LimitExceededError, match="length-256 word sweep stops at length 256"):
+    refusal = "length-256 word sweep stops at length 256: its spellings hold values up to 255$"
+    with pytest.raises(LimitExceededError, match=refusal):
         enumerate_via_words(ONE_ROW, find_signs(ONE_ROW), 256)
     assert time.perf_counter() - start < 0.25
 
@@ -622,22 +622,13 @@ def test_sweeps_commute_with_the_symmetries(m, name):
             assert enumerate_via_words(image, find_signs(image), n) == members, n
 
 
-@pytest.mark.parametrize(
-    "text", [DEMO_MATRIX_TEXT, "+ .\n+ -", "+ +\n+ +", ". . +\n. - +\n+ + ."]
-)
-def test_word_sweep_matches_every_word(text):
-    m = GridMatrix.parse(text)
-    signs = find_signs(m)
-    for n in range(6):
-        assert enumerate_via_words(m, signs, n) == word_images(m, signs, n), n
-
-
 # Each leaf's index and value come from the division slots of its letter's
 # column and row, which every sign moves on its own, so every sign
 # assignment is swept, not only find_signs' and its negation.
-@given(matrices().filter(lambda m: not has_negative_cycle(m)))
+@given(signed_matrices())
 @settings(max_examples=60, deadline=None)
-def test_word_sweep_matches_every_word_under_every_sign_assignment(m):
+def test_word_sweep_matches_every_word_under_every_sign_assignment(case):
+    m, _ = case
     for signs in (SignAssignment(*pair) for pair in brute_sign_assignments(m)):
         for n in range(5):
             assert enumerate_via_words(m, signs, n) == word_images(m, signs, n), (signs, n)
@@ -739,8 +730,8 @@ def test_word_sweep_spells_what_encode_spells(text):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_word_sweep_kernels_match_spell_on_any_matrix(data):
-    m = data.draw(matrices().filter(lambda m: not has_negative_cycle(m)))
-    check_word_kernels(m, find_signs(m), data.draw(words_over(m, max_len=6)))
+    m, signs = data.draw(signed_matrices())
+    check_word_kernels(m, signs, data.draw(words_over(m, max_len=6)))
 
 
 def test_word_sweep_certifies_every_image(monkeypatch):

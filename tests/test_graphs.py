@@ -103,12 +103,6 @@ def test_is_forest(demo_matrix, full_plus_matrix):
     assert is_forest(row_column_graph(GridMatrix.parse(". .\n. .")))
 
 
-@given(matrices())
-@settings(max_examples=200)
-def test_forest_equivalence_between_graphs(m):
-    assert is_forest(row_column_graph(m)) == is_forest(cell_graph(m))
-
-
 def test_cycle_sign_products(full_plus_matrix, unbalanced_matrix):
     assert cycle_sign(full_plus_matrix, FOUR_CYCLE) == 1
     assert cycle_sign(unbalanced_matrix, FOUR_CYCLE) == -1
