@@ -7,6 +7,8 @@ membership, assigns the column and row signs that make a matrix a partial
 multiplication table, and converts between words over the nonzero cells
 and gridded permutations in an order-preserving way.
 """
+from types import ModuleType as _ModuleType
+
 from .codec import (
     InconsistentOrdersError,
     Letter,
@@ -45,41 +47,8 @@ from .perms import Permutation, containment_witness, contains, pattern_of, windo
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Cell",
-    "CellGraph",
-    "GridMatrix",
-    "GriddedPermutation",
-    "Gridding",
-    "InconsistentOrdersError",
-    "Letter",
-    "LimitExceededError",
-    "NotPartialMultiplicationError",
-    "Permutation",
-    "RowColumnGraph",
-    "SignAssignment",
-    "Word",
-    "alphabet",
-    "cell_graph",
-    "check_gridding",
-    "containment_witness",
-    "contains",
-    "counting_sequence",
-    "cycle_sign",
-    "decode",
-    "encode",
-    "enumerate_class",
-    "enumerate_via_words",
-    "find_gridding",
-    "find_signs",
-    "format_word",
-    "has_negative_cycle",
-    "in_grid_class",
-    "is_forest",
-    "parse_word",
-    "pattern_of",
-    "row_col_orders",
-    "row_column_graph",
-    "subword_leq",
-    "window",
-]
+# __all__ is every public name the imports above bind, less the submodules
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

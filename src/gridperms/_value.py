@@ -1,13 +1,14 @@
 """The base of the package's immutable value types.
 
 A subclass names its fields in ``__slots__``, after those of its bases, and
-``Value.__init__``, the one place that stores them, takes them in that order
-by position or keyword; a subclass that normalises or validates ends its own
-``__init__`` in ``super().__init__(...)``.  The one exception is
-``perms.Permutation``, built once per image in the sweeps: it stores its one
-validated field itself, with ``object.__setattr__``, as ``Value.__init__``
-would.  A value compares, hashes, prints, pickles and copies by its fields,
-in order, and refuses assignment and deletion.
+its own ``__init__`` takes them by name, in that order, so Python's call
+binding checks them; after normalising or validating it ends in
+``super().__init__(...)``, which stores them positionally.  The one
+exception is ``perms.Permutation``: it stores its one validated field
+itself, with ``object.__setattr__``, as ``Value.__init__`` would, which
+saves one call per image in the sweeps.  A value compares, hashes, prints,
+pickles and copies by its fields, in order, and refuses assignment and
+deletion.
 """
 from operator import attrgetter
 
@@ -22,18 +23,8 @@ class Value:
         )
         cls._key = attrgetter(*cls.__match_args__)
 
-    def __init__(self, *values: object, **named: object) -> None:
-        names = self.__match_args__
-        if named or len(values) != len(names):
-            # bind as a call would: each field once, by position or keyword
-            given = (*names[: len(values)], *named)
-            if len(values) > len(names) or sorted(given) != sorted(names):
-                raise TypeError(
-                    f"{self.__class__.__qualname__}() takes {', '.join(names)} once each, got "
-                    f"{len(values)} by position and {', '.join(named) or 'none'} by keyword"
-                )
-            values += tuple(named[name] for name in names[len(values):])
-        for name, value in zip(names, values):
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__match_args__, values, strict=True):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:

@@ -183,7 +183,14 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _make_parser().parse_args(argv)
+    parser = _make_parser()
+    args, extra = parser.parse_known_args(argv)
+    # argparse fills encode's ``*`` word from the matrix file's run of
+    # positionals, so the words after a sign flag come back unrecognized
+    if args.cmd == "encode" and not any(arg.startswith("-") for arg in extra):
+        args.word += extra
+    elif extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         with open(args.matrix_file, encoding="utf-8-sig") as handle:
             matrix = GridMatrix.parse(handle.read())

@@ -35,6 +35,10 @@ class RowColumnGraph(Value):
     vertices: tuple[Vertex, ...]
     edges: tuple[tuple[Vertex, Vertex, int], ...]
 
+    def __init__(self, vertices: tuple[Vertex, ...],
+                 edges: tuple[tuple[Vertex, Vertex, int], ...]) -> None:
+        super().__init__(vertices, edges)
+
 
 class CellGraph(Value):
     """Graph on the nonzero cells of a matrix.
@@ -48,6 +52,10 @@ class CellGraph(Value):
     vertices: tuple[Cell, ...]
     labels: tuple[int, ...]
     edges: tuple[tuple[Cell, Cell], ...]
+
+    def __init__(self, vertices: tuple[Cell, ...], labels: tuple[int, ...],
+                 edges: tuple[tuple[Cell, Cell], ...]) -> None:
+        super().__init__(vertices, labels, edges)
 
     def label(self, cell: Cell) -> int:
         return self.labels[self.vertices.index(cell)]

@@ -19,7 +19,7 @@ class Permutation(Value):
     ``entries`` holds the values pi(1), ..., pi(n), stored as ints: any
     integer type is accepted and anything else raises TypeError.  The empty
     permutation (n = 0) is allowed.  The sweeps build one per image, so the
-    validated field is stored without ``Value.__init__``'s generic binder.
+    validated field is stored here, without a call to ``Value.__init__``.
 
     >>> Permutation((2, 1, 3))
     Permutation(entries=(2, 1, 3))

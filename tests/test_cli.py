@@ -236,6 +236,10 @@ CLI_CASES = {
     "grid_check_invalid": (DEMO, f"grid-check m.txt {MISGRIDDED}", 1, "INVALID"),
     "encode_empty_word": (DEMO, "encode m.txt", 0, "empty cols=1,1,1,1 rows=1,1,1"),
     "encode_letter_outside_alphabet": (DEMO, "encode m.txt 1,2", 2, ""),
+    "encode_flag_first": (DEMO, "encode m.txt --col-signs=-1,1,1 1,1 2,2", 0,
+                          "12 cols=1,2,3,3 rows=1,2,3"),
+    "encode_flag_between": (DEMO, "encode m.txt 1,1 --col-signs=-1,1,1 2,2", 0,
+                            "12 cols=1,2,3,3 rows=1,2,3"),
     "decode_inconsistent_orders": ("+ +\n+ +", f"decode m.txt {CROSSED}", 1, "INCONSISTENT-ORDERS"),
     "count_one_row": ("+ +", "count m.txt 3", 0, "1,2,5"),
     "count_one_cell": ("+", "count m.txt 5", 0, "1,1,1,1,1"),

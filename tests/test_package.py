@@ -1,5 +1,6 @@
 import copy
 import doctest
+import inspect
 import pickle
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from gridperms import (
     Permutation,
     SignAssignment,
     cell_graph,
+    parse_word,
     row_column_graph,
 )
 
@@ -133,3 +135,30 @@ def test_value_semantics(name):
     ]:
         with pytest.raises(TypeError):
             cls(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_signature_lists_the_fields(name):
+    make, fields, _ = VALUES[name]
+    assert tuple(inspect.signature(type(make())).parameters) == fields
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from gridperms import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == gridperms.__all__
+    assert not any(inspect.ismodule(value) for value in namespace.values())
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() has no digit limit before 3.10.7")
+@pytest.mark.parametrize("parse, text, what", [
+    (Permutation.parse, "1 {digits}", "permutation"),
+    (Gridding.parse, "cols=1,{digits} rows=1,2", "gridding"),
+    (parse_word, "1,{digits}", "letter"),
+])
+def test_parsers_refuse_fields_past_the_digit_limit(parse, text, what):
+    text = text.format(digits="7" * 5000)
+    with pytest.raises(ValueError, match=f"^cannot parse {what} from "):
+        parse(text)
