@@ -56,6 +56,7 @@ def parse_word(text: str) -> Word:
 
 
 def format_word(word: Word) -> str:
+    """Render a word as the whitespace-separated ``k,l`` pairs ``parse_word`` reads."""
     return " ".join(f"{k},{l}" for k, l in word)
 
 

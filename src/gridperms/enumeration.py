@@ -14,8 +14,9 @@ tries the parent's witness division, lifted once per parent, then each
 deletion's, lifted by re-inserting the deleted value, and then every
 division, so no answer depends on the hints; each distinct hint is banded
 once per length.  Members are spelled as bytes, each deletion one C-level
-translation, so the walk refuses length 256.  A matrix with fewer columns
-than rows is walked as its transpose, whose members are the class's inverses.
+translation and each extension one splice, so the walk refuses length 256.
+A matrix with fewer columns than rows is walked as its transpose, whose
+members are the class's inverses.
 ``enumerate_via_words`` encodes the lexicographic normal forms of traces:
 letters whose cells share neither a column nor a row commute without
 changing the encoded gridded permutation, so one word per commutation class
@@ -213,9 +214,11 @@ def _word_images(
     length k = 0..n the normal forms spelled, one per trace (Cartier-Foata).
 
     Masks admit each next letter in one test (_trace_masks).  Each normal
-    form's spelling rides the stack, its entries as bytes and its divisions,
-    and each popped one runs one loop over the letters its mask admits: a
-    child is its parent's entries with one _extend at its letter's _slots.
+    form's spelling rides the stack, its entries as bytes and its divisions
+    (no word and no per-column or per-row position lists), and each popped
+    one runs one loop over the letters its mask admits: a child is its
+    parent's entries with one _extend at its letter's _slots, fixed once per
+    call (column k or k - 1, row l or l - 1 under the signs).
     Below length n it is pushed with its divisions grown in one band each
     (_grow, cached per call); at length n only a new image's divisions are
     grown and banded (once per division) and checked with the cell rule

@@ -58,6 +58,7 @@ class CellGraph(Value):
         super().__init__(vertices, labels, edges)
 
     def label(self, cell: Cell) -> int:
+        """The matrix entry of a nonzero cell."""
         return self.labels[self.vertices.index(cell)]
 
 

@@ -97,14 +97,17 @@ class Gridding(Value):
 
     @property
     def t(self) -> int:
+        """Number of columns."""
         return len(self.cols) - 1
 
     @property
     def u(self) -> int:
+        """Number of rows."""
         return len(self.rows) - 1
 
     @property
     def n(self) -> int:
+        """Length of the gridded permutation."""
         return self.cols[-1] - 1
 
     def cell_of(self, index: int, value: int) -> Cell:
@@ -129,6 +132,7 @@ class Gridding(Value):
         return cls(parts["cols"], parts["rows"])
 
     def format(self) -> str:
+        """Render in the ``cols=1,3,5,10 rows=1,6,10`` form that ``parse`` reads."""
         cols = ",".join(str(c) for c in self.cols)
         rows = ",".join(str(r) for r in self.rows)
         return f"cols={cols} rows={rows}"

@@ -38,44 +38,6 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out.rstrip("\n")
 
 
-def test_signs_success(capsys, demo_file):
-    code, out = run(capsys, "signs", demo_file)
-    assert code == 0
-    assert out == "col_signs=1,-1,-1 row_signs=1,-1"
-
-
-def test_signs_negative_cycle(capsys, tmp_path):
-    path = write_matrix(tmp_path, "- +\n+ +")
-    code, out = run(capsys, "signs", path)
-    assert code == 1
-    lines = out.splitlines()
-    assert lines[0] == "NOT-PARTIAL-MULTIPLICATION"
-    assert lines[1] == "cycle: x1 y1 x2 y2"
-
-
-def test_member_found(capsys, demo_file):
-    code, out = run(capsys, "member", demo_file, "136854792")
-    assert code == 0
-    assert out == "cols=1,3,5,10 rows=1,5,10"
-
-
-def test_encode_with_sign_overrides(capsys, demo_file):
-    code, out = run(
-        capsys,
-        "encode",
-        demo_file,
-        *"3,1 3,1 2,2 3,2 1,1 2,2 3,2 3,1 1,1".split(),
-        "--col-signs=-1,1,1",
-        "--row-signs=-1,1",
-    )
-    assert code == 0
-    assert out == "136854792 cols=1,3,5,10 rows=1,6,10"
-
-
-def test_enum_members(capsys, demo_file):
-    assert run(capsys, "enum", demo_file, "2") == (0, "12\n21")
-
-
 def test_matrix_file_may_start_with_a_byte_order_mark(capsys, tmp_path, demo_file):
     bom_file = tmp_path / "demo-bom.txt"
     bom_file.write_bytes(b"\xef\xbb\xbf" + Path(demo_file).read_bytes())
@@ -226,9 +188,12 @@ GRIDDED = "136854792 cols=1,3,5,10 rows=1,6,10"
 MISGRIDDED = "136854792 cols=1,2,5,10 rows=1,6,10"
 CROSSED = "4123 cols=1,3,5 rows=1,3,5"  # INCONSISTENT-ORDERS under "+ +" over "+ +"
 SIGN_FLAGS = "--col-signs=-1,1,1 --row-signs=-1,1"
-# One subcommand call per row, beside the README's session below: the matrix
-# written to m.txt, the command line, the exit code, and stdout as text or,
-# under --json, as the payload.
+# One subcommand call per row: the matrix written to m.txt, the command line,
+# the exit code, and stdout as text or, under --json, as the payload.  Each
+# kind of check lives in one place: the README's tour and CLI session hold the
+# showcase (test_readme_cli_session below); these rows, the CLI answers that
+# session does not show; ADMISSION_EDGES in test_enumeration, the admission
+# edges; and properties against tests/oracles.py, the kernels.
 CLI_CASES = {
     "signs_zero_matrix": (". .\n. .", "signs m.txt", 0, "col_signs=1,1 row_signs=1,1"),
     "member_not_a_member": ("+", "member m.txt 21", 1, "NOT-A-MEMBER"),

@@ -73,12 +73,6 @@ def test_parse_word_rejects_garbage():
 
 # encode
 
-def test_encode_showcase_word(demo_matrix, demo_signs, demo_word, demo_perm, demo_gridding):
-    gp = encode(demo_matrix, demo_signs, demo_word)
-    assert gp.perm == demo_perm
-    assert gp.gridding == demo_gridding
-
-
 def test_encode_empty_word(demo_matrix, demo_signs):
     gp = encode(demo_matrix, demo_signs, ())
     assert gp.perm == Permutation(())

@@ -3,6 +3,7 @@ import re
 import time
 from functools import partial
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -214,8 +215,9 @@ SEARCHES = {
 # search: C divisions of the axis with p = min(t, u) parts, C = C(n + p - 1,
 # p - 1), each one pass of n steps, so a matrix and its transpose are
 # admitted alike).  The class sweeps also meter their walk after admission.
-# A negative length is refused by the same call, as a ValueError.
-@pytest.mark.parametrize("search, text, admitted, refused", [
+# A negative length is refused by the same call, as a ValueError.  README's
+# admitted-lengths table lists the same edges (test_readme_admission_table).
+ADMISSION_EDGES = [
     ("enumerate_class", "+", [2_999_998], [2_999_999, 3_000_000, 10**100, -1]),
     ("counting_sequence", "+", [2_999_998], [2_999_999, 3_000_000, 10**100, -1]),
     ("enumerate_via_words", DEMO_MATRIX_TEXT, [10], [11, 10**8, 10**100, -1]),
@@ -244,7 +246,10 @@ SEARCHES = {
     # "+" over "+" is walked as "+"
     ("enumerate_class", "+\n+", [2_999_998], [2_999_999, 3_000_000, 10**100, -1]),
     ("counting_sequence", "+\n+", [2_999_998], [2_999_999, 3_000_000, 10**100, -1]),
-])
+]
+
+
+@pytest.mark.parametrize("search, text, admitted, refused", ADMISSION_EDGES)
 def test_search_admission_edges(monkeypatch, search, text, admitted, refused):
     decisions = watch_admission(monkeypatch)
     matrix = GridMatrix.parse(text)
@@ -259,6 +264,31 @@ def test_search_admission_edges(monkeypatch, search, text, admitted, refused):
             run()
         assert time.perf_counter() - start < 0.25, n
     assert decisions == [True] * len(admitted) + [False] * len(refused)
+
+
+README_SEARCHES = {
+    "enumerate_class": "class sweeps", "counting_sequence": "class sweeps",
+    "enumerate_via_words": "word sweep", "find_gridding": "gridding search",
+    "in_grid_class": "membership",
+}
+
+
+def test_readme_admission_table():
+    # (search family, last admitted n, first refused n), read from the README's
+    # table and from ADMISSION_EDGES; a search with no refused length reads
+    # "any n" and "none"
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = readme.read_text(encoding="utf-8").split("| search | matrix |", 1)[1]
+    documented = set()
+    for line in table.split("\n\n", 1)[0].splitlines()[2:]:
+        search, _, admitted, refused = (cell.strip() for cell in line.strip("|").split("|"))
+        documented.add((search.split(" (")[0], admitted.replace(",", ""), refused.replace(",", "")))
+    pinned = set()
+    for search, _, admitted, refused in ADMISSION_EDGES:
+        refused = [n for n in refused if n >= 0]
+        edge = (str(max(admitted)), str(min(refused))) if refused else ("any n", "none")
+        pinned.add((README_SEARCHES[search], *edge))
+    assert documented == pinned
 
 
 # A sweep of the one-cell matrix, whose word tree has unit width, at a

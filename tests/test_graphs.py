@@ -179,10 +179,6 @@ def test_find_signs_single_negative_cell():
     assert find_signs(GridMatrix.parse("-")) == SignAssignment((1,), (-1,))
 
 
-def test_find_signs_zero_matrix_all_positive():
-    assert find_signs(GridMatrix.parse(". .\n. .")) == SignAssignment((1, 1), (1, 1))
-
-
 def test_find_signs_reports_a_negative_cycle(unbalanced_matrix):
     with pytest.raises(NotPartialMultiplicationError) as exc_info:
         find_signs(unbalanced_matrix)

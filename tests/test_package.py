@@ -151,6 +151,30 @@ def test_star_import_binds_exactly_all():
     assert not any(inspect.ismodule(value) for value in namespace.values())
 
 
+def public_objects():
+    """(name, object) for each function and class in ``gridperms.__all__``
+    and each public method, property and classmethod defined on those
+    classes; the type aliases (``Cell``, ``Letter``, ``Word``) are neither."""
+    for name in gridperms.__all__:
+        value = getattr(gridperms, name)
+        if inspect.isfunction(value):
+            yield name, value
+        elif isinstance(value, type) and value.__module__.startswith("gridperms."):
+            yield name, value
+            # slot fields are member descriptors, documented by the class
+            for attr, member in vars(value).items():
+                if not attr.startswith("_") and (
+                        inspect.isfunction(member) or isinstance(member, (property, classmethod))):
+                    yield f"{name}.{attr}", getattr(member, "__func__", member)
+
+
+def test_every_public_name_has_a_docstring():
+    objects = dict(public_objects())
+    assert {"format_word", "Gridding.format", "Gridding.parse", "Gridding.t",
+            "CellGraph.label", "SignAssignment.verify"} <= set(objects)
+    assert [name for name, value in objects.items() if not value.__doc__] == []
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="int() has no digit limit before 3.10.7")
 @pytest.mark.parametrize("parse, text, what", [
