@@ -58,8 +58,11 @@ class CellGraph(Value):
         super().__init__(vertices, labels, edges)
 
     def label(self, cell: Cell) -> int:
-        """The matrix entry of a nonzero cell."""
-        return self.labels[self.vertices.index(cell)]
+        """The matrix entry of a nonzero cell; any other cell raises ValueError."""
+        try:
+            return self.labels[self.vertices.index(cell)]
+        except ValueError:
+            raise ValueError(f"cell {cell} is not a vertex of the cell graph") from None
 
 
 class SignAssignment(Value):

@@ -13,7 +13,6 @@ def test_parse_orients_from_bottom_left():
     assert m.entry(1, 1) == 1
     assert m.entry(2, 2) == 1
     assert m.entry(3, 2) == 1
-    assert m.entry(3, 1) == -1
     assert m.entry(1, 2) == 0
     assert m.entry(2, 1) == 0
 
