@@ -12,8 +12,6 @@ on stdout, ``{"error": "LIMIT-EXCEEDED", "message": ...}`` for an oversized
 search and ``{"error": "BAD-INPUT", "message": ...}`` for an unreadable or
 malformed input; argparse's own usage errors stay plain text on stderr.
 """
-from __future__ import annotations
-
 import argparse
 import json
 import sys

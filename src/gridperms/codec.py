@@ -12,9 +12,8 @@ which ``decode`` reports as InconsistentOrdersError.
 Containment of gridded permutations corresponds to the subword order on
 words, which is what makes word images useful for sweeping grid classes.
 """
-from __future__ import annotations
-
 from collections import deque
+from heapq import heappop, heappush
 from itertools import accumulate
 
 from .graphs import SignAssignment
@@ -190,17 +189,28 @@ def decode(gp: GriddedPermutation, signs: SignAssignment) -> Word:
     row_of = _bands(g.rows)
     columns = [deque(orders[("col", k)]) for k in range(1, g.t + 1)]
     rows = [deque(orders[("row", l)]) for l in range(1, g.u + 1)]
+    col_of = {value: k for k, column in enumerate(columns) for value in column}
+    # An entry is ready when it heads both its column and its row.  The least
+    # ready entry heads the least column that has one, since the columns are
+    # consecutive index bands, so a heap of those columns yields it.  Taking
+    # an entry changes only its column's head and its row's, so only those
+    # two columns can turn ready, and no column enters the heap twice.
+    heap = [k for k, column in enumerate(columns)
+            if column and rows[row_of[column[0] - 1]][0] == column[0]]
     word = []
-    for _ in range(len(gp.perm)):
-        # Leftmost column = least index: the columns are consecutive index bands.
-        for k, column in enumerate(columns, start=1):
-            if column and rows[row_of[column[0] - 1]][0] == column[0]:
-                break
-        else:
-            raise InconsistentOrdersError(
-                "row and column orders have no common linear extension"
-            )
-        row = row_of[column.popleft() - 1]
-        rows[row].popleft()
-        word.append((k, row + 1))
+    while heap:
+        k = heappop(heap)
+        column = columns[k]
+        l = row_of[column.popleft() - 1]
+        row = rows[l]
+        row.popleft()
+        word.append((k + 1, l + 1))
+        if column and rows[row_of[column[0] - 1]][0] == column[0]:
+            heappush(heap, k)
+        if row and (c := col_of[row[0]]) != k and columns[c][0] == row[0]:
+            heappush(heap, c)
+    if len(word) < len(gp.perm):
+        raise InconsistentOrdersError(
+            "row and column orders have no common linear extension"
+        )
     return tuple(word)

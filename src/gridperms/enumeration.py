@@ -37,8 +37,6 @@ words at depth k before any work, and the class sweeps orient and admit
 their longest candidate's search through ``_upright``, as ``in_grid_class``
 does, then meter their walks' steps.
 """
-from __future__ import annotations
-
 from collections.abc import Callable, Iterator
 from functools import cache
 

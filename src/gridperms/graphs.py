@@ -6,8 +6,6 @@ cell.  A matrix factors as column sign times row sign on its nonzero cells
 exactly when this graph has no negative cycle; ``find_signs`` computes such
 a factorization or produces a negative cycle as a witness.
 """
-from __future__ import annotations
-
 import operator
 from collections.abc import Iterable, Sequence
 

@@ -26,8 +26,6 @@ before any work; the class sweeps also meter their walk's steps, so they
 are refused after bounded work.  Pattern containment (``perms.contains``)
 is metered, not admitted: each candidate index it tries is one step.
 """
-from __future__ import annotations
-
 import operator
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence

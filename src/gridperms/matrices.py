@@ -4,8 +4,6 @@
 from the bottom, so a t x u matrix has t columns and u rows.  The text
 format, in contrast, is visual: u lines with the top row first.
 """
-from __future__ import annotations
-
 import operator
 from collections.abc import Iterable, Mapping
 

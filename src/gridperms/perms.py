@@ -5,8 +5,6 @@ pi(1), ..., pi(n), each of 1..n appearing exactly once.  All values are
 immutable and all functions are pure, so everything here is safe to share
 between threads.
 """
-from __future__ import annotations
-
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 

@@ -50,7 +50,7 @@ def test_readme_tour_and_module_doctests():
 def test_import_loads_no_unused_module():
     # -S -E: no site hooks or environment, so only the package's own imports count
     src = str(Path(gridperms.__file__).resolve().parents[1])
-    unused = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+    unused = {"__future__", "dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import gridperms; "
         f"print(*sorted({unused!r} & set(sys.modules)))"
