@@ -15,8 +15,8 @@ deletion's, lifted by re-inserting the deleted value, and then every
 division, so no answer depends on the hints; each distinct hint is banded
 once per length.  Members are spelled as bytes, each deletion one C-level
 translation and each extension one splice, so the walk refuses length 256.
-A matrix with fewer columns than rows is walked as its transpose, whose
-members are the class's inverses.
+The walk runs on the matrix's nonzero core, or on the core's transpose,
+whose members are the class's inverses, when it has fewer columns than rows.
 ``enumerate_via_words`` encodes the lexicographic normal forms of traces:
 letters whose cells share neither a column nor a row commute without
 changing the encoded gridded permutation, so one word per commutation class

@@ -16,8 +16,9 @@ band reaches its division.  ``in_grid_class`` needs only existence: its
 ``_witness`` tries each row division of pi for a matrix with t >= u, and
 ``_least_rows`` chains the walk into a threshold pass that completes the
 division with the least column divisions in O(n + t*u) steps.  pi lies in
-Grid(M) exactly when its inverse lies in Grid(M^T): ``_upright`` admits
-every ``_witness`` search and orients it, onto the transpose when t < u.
+Grid(M) exactly when its inverse lies in Grid(M^T), and no gridding puts a
+point in an all-zero line: ``_upright`` drops those lines, then admits every
+class search (``_witness``) and orients it, onto the transpose when t < u.
 
 The gridding searches and the three sweeps in ``enumeration`` first admit
 their unpruned tree: one with more than SEARCH_BUDGET nodes raises
@@ -200,9 +201,10 @@ def _band_start(
     As values fall, each cell's key must fall below the last one seen there,
     from n + 1: the key is the index in a 1 cell, n + 1 - index in a -1 cell
     and n + 1 in a 0 cell.  Shrinking a band never breaks a cell, so the
-    first value that fails bounds every valid start.
+    first value that fails bounds every valid start: a top value in a 0 cell
+    returns ``top`` before any slot is allocated.
     """
-    if top <= floor:
+    if top <= floor or not line[band_of[index_of[top - 2] - 1]]:
         return top
     stop = len(index_of) + 1
     last = [stop] * len(line)
@@ -297,10 +299,13 @@ def _transpose(matrix: GridMatrix) -> GridMatrix:
 
 
 def _upright(n: int, matrix: GridMatrix) -> tuple[GridMatrix, Callable]:
-    """Admit a length-n _witness search: C = C(n+p-1, p-1) divisions of the
-    axis with p = min(t, u) parts, and a pass of n steps under each.  Give
-    the matrix it runs on, the transpose when t < u, and the map from class
-    members' entries to searched ones: _inverse (its own inverse) or tuple."""
+    """Admit a length-n _witness search on the matrix's nonzero core, its
+    all-zero lines dropped unless all are: C = C(n+p-1, p-1) divisions of
+    the axis with p = min(t, u) parts, and a pass of n steps under each.
+    Give the matrix it runs on, the core or its transpose when t < u, and
+    the map from members' entries to searched ones: _inverse or tuple."""
+    for _ in range(2):  # the zero columns go, then the zero columns of the transpose
+        matrix = GridMatrix(zip(*([c for c in matrix.columns if any(c)] or matrix.columns)))
     # a generator, so that _admit refuses a negative n before comb sees it
     divisions = ((comb(n + p - 1, p - 1), 1) for p in [min(matrix.t, matrix.u)])
     _admit(n, chain(divisions, [(1, n)]))

@@ -178,9 +178,12 @@ def test_word_sweep_refuses_past_the_byte_range(monkeypatch):
 
 M33_TEXT = ". . +\n. - +\n+ + ."
 M43_TEXT = "+ + + +\n+ + + +\n+ + + +"
-# 6x6 with a single nonzero cell: a tiny class whose length-25 membership
-# search has 1 + C + C * 25 = 3,705,157 nodes, C = C(30, 5) = 142,506.
+# 6x6 with a single nonzero cell: its class searches run on the 1x1 core
+# "+", so a length-n search has 1 + 1 + n nodes, as on "+" itself.
 M66_TEXT = "\n".join(["+ . . . . ."] + [". . . . . ."] * 5)
+# 6x6 with "+" down the diagonal: no zero line, so p = 6 and a length-25
+# search has 1 + C + C * 25 = 3,705,157 nodes, C = C(30, 5) = 142,506.
+DIAGONAL66_TEXT = "\n".join(" ".join("+" if k == l else "." for k in range(6)) for l in range(6))
 
 
 def corner(t, u):
@@ -206,11 +209,12 @@ SEARCHES = {
 # Each search's unpruned tree, in nodes: sum of |A| ** k for k <= n (words),
 # 1 + C1 + C1 * C2 (find_gridding, with C1 and C2 the numbers of column and
 # row divisions), 1 + C + C * n (in_grid_class and the class sweeps' longest
-# search: C divisions of the axis with p = min(t, u) parts, C = C(n + p - 1,
-# p - 1), each one pass of n steps, so a matrix and its transpose are
-# admitted alike).  The class sweeps also meter their walk after admission.
-# A negative length is refused by the same call, as a ValueError.  README's
-# admitted-lengths table lists the same edges (test_readme_admission_table).
+# search: C divisions of the axis with p = min(t, u) parts of the matrix's
+# nonzero core, C = C(n + p - 1, p - 1), each one pass of n steps, so a
+# matrix, its transpose and its core are admitted alike).  The class sweeps
+# also meter their walk after admission.  A negative length is refused by
+# the same call, as a ValueError.  README's admitted-lengths table lists the
+# same edges (test_readme_admission_table).
 ADMISSION_EDGES = [
     ("enumerate_class", "+", [2_999_998], [2_999_999, 3_000_000, 10**100, -1]),
     ("counting_sequence", "+", [2_999_998], [2_999_999, 3_000_000, 10**100, -1]),
@@ -226,12 +230,12 @@ ADMISSION_EDGES = [
     ("in_grid_class", DEMO_MATRIX_TEXT, [1731], [1732]),
     ("in_grid_class", M33_TEXT, [180], [181]),
     ("in_grid_class", M43_TEXT, [180], [181, 360]),
-    ("enumerate_class", M66_TEXT, [24], [25]),
-    ("counting_sequence", M66_TEXT, [24], [25]),
+    ("enumerate_class", M66_TEXT, [2_999_998], [2_999_999]),
+    ("counting_sequence", M66_TEXT, [2_999_998], [2_999_999]),
     ("in_grid_class", "+", [2_999_998], [2_999_999]),
-    ("counting_sequence", corner(13, 2), [1731], [1732]),
+    ("counting_sequence", corner(13, 2), [2_999_998], [2_999_999]),
     ("enumerate_class", corner(17, 1), [2_999_998], [2_999_999]),
-    ("counting_sequence", corner(14, 2), [1731], [1732]),
+    ("counting_sequence", corner(14, 2), [2_999_998], [2_999_999]),
     ("enumerate_class", corner(18, 1), [2_999_998], [2_999_999]),
     ("enumerate_class", DEMO_MATRIX_TEXT, [1731], [1732]),
     ("counting_sequence", "- +\n. +\n+ .", [1731], [1732]),
@@ -240,6 +244,8 @@ ADMISSION_EDGES = [
     # "+" over "+" is walked as "+"
     ("enumerate_class", "+\n+", [2_999_998], [2_999_999, 3_000_000, 10**100, -1]),
     ("counting_sequence", "+\n+", [2_999_998], [2_999_999, 3_000_000, 10**100, -1]),
+    ("enumerate_class", DIAGONAL66_TEXT, [24], [25]),
+    ("counting_sequence", DIAGONAL66_TEXT, [24], [25]),
 ]
 
 

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,6 +171,16 @@ def test_membership(demo_matrix, demo_perm):
     assert in_grid_class(demo_perm, demo_matrix)
     assert in_grid_class(Permutation(()), GridMatrix.parse(". .\n. ."))
     assert not in_grid_class(Permutation.parse("321"), GridMatrix.parse("+ +"))
+
+
+def test_in_grid_class_searches_the_nonzero_core():
+    # The 249 zero columns and rows drop out before the search; at the full
+    # 250x250 shape it would try 31,375 row divisions, each a pass over 250
+    # lines.
+    m = GridMatrix.from_cells(250, 250, {(1, 1): 1})
+    start = time.perf_counter()
+    assert not in_grid_class(Permutation((2, 1)), m)
+    assert time.perf_counter() - start < 1
 
 
 def test_single_increasing_cell_class_is_identities():
